@@ -319,10 +319,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0, help="root seed")
+    def common(p, seed=False, fmt=False):
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="root seed")
+        if fmt:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("cos", help="copula statistic of a CSV dataset")
     p.add_argument("input")
@@ -342,14 +344,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="fit null calibration curves")
     p.add_argument("--grid", default=None, help="comma-separated sample sizes")
     p.add_argument("--trials", type=int, default=500)
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("bias", help="null/functional bias table")
     p.add_argument("--sources", default="indep", help="e.g. 'gauss:0,gumbel:1,sin:5'")
     p.add_argument("--grid", default="100,500,1000")
     p.add_argument("--trials", type=int, default=500)
-    common(p)
+    common(p, seed=True, fmt=True)
     p.set_defaults(func=cmd_bias)
 
     p = sub.add_parser("power", help="statistical power against a noisy dependency")
@@ -360,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--p-grid", default="0.1,0.5,1,2,3")
     p.add_argument("--freq", type=float, default=1.0)
-    common(p)
+    common(p, seed=True, fmt=True)
     p.set_defaults(func=cmd_power)
 
     p = sub.add_parser("equitability", help="R^2 equitability scan")
@@ -368,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r2-grid", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
     p.add_argument("--n", type=int, default=500)
     p.add_argument("--reps", type=int, default=30)
-    common(p)
+    common(p, seed=True, fmt=True)
     p.set_defaults(func=cmd_equitability)
 
     p = sub.add_parser("gen", help="generate a noisy functional dependency")
@@ -380,13 +382,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fn-id", type=int, default=1)
     p.add_argument("--r2", type=float, default=None)
     p.add_argument("--n", type=int, default=1000)
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("ripley", help="structured LCG/Box-Muller point pattern")
     p.add_argument("--form", type=int, default=1, choices=(1, 2, 3, 4))
     p.add_argument("--n", type=int, default=1000)
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=cmd_ripley)
     # ripley's LCG is seeded directly; 0 would be a degenerate start state
     p.set_defaults(seed=1)
@@ -395,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="expression CSV, one column per gene")
     p.add_argument("--edges", required=True, help="CSV with two gene-name columns")
     p.add_argument("--metric", default="cos")
-    common(p)
+    common(p, fmt=True)
     p.set_defaults(func=cmd_netscore)
 
     p = sub.add_parser("returns", help="one-lag differences of a price CSV")

@@ -95,7 +95,6 @@ class PseudoSample:
     """
 
     u: np.ndarray
-    tie_policy: str = "ordinal-stable"
 
     def __post_init__(self) -> None:
         a = np.asarray(self.u, dtype=float)
@@ -140,10 +139,10 @@ def pseudo_observations(sample) -> PseudoSample:
 
 
 def as_unit_point(point, d: int | None = None) -> np.ndarray:
-    """Validate a point of the unit hypercube, optionally of fixed dimension."""
-    p = np.asarray(point, dtype=float).ravel()
-    if d is not None and p.size != d:
-        raise DimensionMismatch(f"expected a {d}-dimensional point, got {p.size}")
+    """Validate unit-hypercube points, coordinates on the last axis (d of them if given)."""
+    p = np.atleast_1d(np.asarray(point, dtype=float))
+    if d is not None and p.shape[-1] != d:
+        raise DimensionMismatch(f"expected a {d}-dimensional point, got {p.shape[-1]}")
     if p.size < 1 or not np.isfinite(p).all():
         raise InvalidInput("point coordinates must be finite")
     if p.min() < 0.0 or p.max() > 1.0:
@@ -171,7 +170,7 @@ class EmpiricalCopula:
 
     def cdf(self, point) -> float:
         """Evaluate C_n at one point of the unit hypercube."""
-        p = as_unit_point(point, self.d)
+        p = as_unit_point(np.ravel(point), self.d)
         inside = np.all(self.points.u <= p, axis=1)
         return int(np.count_nonzero(inside)) / self.n
 
@@ -198,55 +197,54 @@ def empirical_copula(sample) -> EmpiricalCopula:
     return EmpiricalCopula(pseudo_observations(sample))
 
 
-def frechet_upper(point) -> float:
+def frechet_upper(point):
     """Upper Frechet-Hoeffding envelope M(u) = min of the coordinates."""
-    p = as_unit_point(point)
-    return float(p.min())
+    return as_unit_point(point).min(axis=-1)[()]
 
 
-def frechet_lower(point) -> float:
+def frechet_lower(point):
     """Lower Frechet-Hoeffding envelope W(u) = max(sum(u) + 1 - d, 0)."""
     p = as_unit_point(point)
-    return max(float(p.sum()) + 1.0 - p.size, 0.0)
+    return np.maximum(p.sum(axis=-1) + 1.0 - p.shape[-1], 0.0)[()]
 
 
-def product_copula(point) -> float:
+def product_copula(point):
     """Independence copula Pi(u) = product of the coordinates."""
-    p = as_unit_point(point)
-    return float(p.prod())
+    return as_unit_point(point).prod(axis=-1)[()]
 
 
-def relative_distance(c_value: float, point, tol: float = 0.0) -> float:
-    """Distance of a copula value from independence, scaled to [0, 1].
+def relative_distance(c_value, point, tol: float = 0.0):
+    """Distance of copula values from independence, scaled to [0, 1].
 
     Measures (C - Pi) against the gap between the applicable Frechet
     envelope and Pi: the upper envelope when C >= Pi, the lower one
     otherwise.  A value of 0 means independence at this point, 1 means the
     value sits on an envelope.
 
-    `c_value` may exceed the envelopes by at most `tol` (it is clamped);
-    beyond that BoundsViolated is raised.  Where the applicable gap is
-    numerically zero the envelopes and Pi coincide, which only happens at
-    global-optimum points of a functional dependence, so 1 is returned.
+    `c_value` has shape (...) and `point` shape (..., d); each value is
+    scored at its point, and a scalar call returns a float.  A value may
+    exceed the envelopes by at most `tol` (it is clamped); beyond that
+    BoundsViolated is raised.  Where the applicable gap is numerically zero
+    the envelopes and Pi coincide, which only happens at global-optimum
+    points of a functional dependence, so 1 is returned.
     """
     p = as_unit_point(point)
-    upper = float(p.min())
-    lower = max(float(p.sum()) + 1.0 - p.size, 0.0)
-    pi = float(p.prod())
-    c = float(c_value)
-    if c > upper:
-        if c > upper + tol:
-            raise BoundsViolated(
-                f"copula value {c} exceeds upper bound {upper} beyond tol {tol}"
-            )
-        c = upper
-    elif c < lower:
-        if c < lower - tol:
-            raise BoundsViolated(
-                f"copula value {c} below lower bound {lower} beyond tol {tol}"
-            )
-        c = lower
-    denom = (upper - pi) if c >= pi else (lower - pi)
-    if abs(denom) < DEGENERATE_EPS:
-        return 1.0
-    return (c - pi) / denom
+    c = np.asarray(c_value, dtype=float)
+    if c.shape != p.shape[:-1]:
+        raise DimensionMismatch(f"{c.shape} copula values for {p.shape[:-1]} points")
+    upper, lower, pi = frechet_upper(p), frechet_lower(p), product_copula(p)
+    above, below = c > upper + tol, c < lower - tol
+    if above.any():
+        raise BoundsViolated(
+            f"copula value {c[above][0]} exceeds upper bound {upper[above][0]} "
+            f"beyond tol {tol}"
+        )
+    if below.any():
+        raise BoundsViolated(
+            f"copula value {c[below][0]} below lower bound {lower[below][0]} "
+            f"beyond tol {tol}"
+        )
+    c = np.where(c > upper, upper, np.where(c < lower, lower, c))
+    denom = np.where(c >= pi, upper - pi, lower - pi)
+    gap = np.abs(denom) >= DEGENERATE_EPS
+    return np.divide(c - pi, denom, out=np.ones_like(c), where=gap)[()]

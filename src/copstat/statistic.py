@@ -69,15 +69,42 @@ class DomainRun:
         return self.end - self.start + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DomainPartition:
-    """Monotone-run decomposition of a trace; sum(n_i) = n + m - 1."""
+    """Monotone-run decomposition of a trace; sum(n_points) = n + m - 1.
 
-    runs: tuple[DomainRun, ...]
+    Parallel arrays with one entry per run, fields as in DomainRun;
+    `rising` is True for a non-decreasing run.
+    """
+
+    start: np.ndarray
+    end: np.ndarray
+    rising: np.ndarray
+    argmin: np.ndarray
+    argmax: np.ndarray
+    c_min: np.ndarray
+    c_max: np.ndarray
+    local_opt_min: np.ndarray
+    local_opt_max: np.ndarray
 
     @property
     def m(self) -> int:
-        return len(self.runs)
+        return self.start.size
+
+    @property
+    def n_points(self) -> np.ndarray:
+        return self.end - self.start + 1
+
+    @property
+    def direction(self) -> np.ndarray:
+        return np.where(self.rising, NON_DECREASING, NON_INCREASING)
+
+    @property
+    def runs(self) -> tuple[DomainRun, ...]:
+        """The runs as DomainRun records, built on each access."""
+        columns = (self.start, self.end, self.direction, self.c_min, self.c_max,
+                   self.argmin, self.argmax, self.local_opt_min, self.local_opt_max)
+        return tuple(map(DomainRun, *(c.tolist() for c in columns)))
 
 
 @dataclass(frozen=True)
@@ -140,35 +167,35 @@ def partition_domains(trace) -> DomainPartition:
     if n < 2:
         raise InvalidInput("trace needs at least 2 points")
 
-    steps = np.sign(np.diff(s)).astype(np.int8)
-    nz = np.flatnonzero(steps)
-    if nz.size == 0:
-        bounds = [0, n - 1]
-        directions = [1]
-    else:
-        dirs = steps[nz]
-        flips = np.flatnonzero(dirs[1:] != dirs[:-1])
-        bounds = [0, *(nz[flips + 1].tolist()), n - 1]
-        directions = [int(dirs[0]), *(int(dirs[i + 1]) for i in flips)]
-
-    runs = []
-    for i, direction in enumerate(directions):
-        a, b = bounds[i], bounds[i + 1]
-        seg = s[a : b + 1]
-        rel_min = int(np.argmin(seg))
-        rel_max = int(np.argmax(seg))
-        runs.append(
-            DomainRun(
-                start=a,
-                end=b,
-                direction=NON_DECREASING if direction > 0 else NON_INCREASING,
-                c_min=float(seg[rel_min]),
-                c_max=float(seg[rel_max]),
-                argmin=a + rel_min,
-                argmax=a + rel_max,
-            )
-        )
-    return DomainPartition(runs=tuple(runs))
+    step = np.diff(s)
+    strict = np.flatnonzero(step)  # j with s[j + 1] != s[j]
+    up = step[strict] > 0
+    if strict.size == 0:
+        # a flat trace: one rising run, as if a step led up to index 0
+        strict, up = np.array([-1]), np.array([True])
+    # position in `strict` of each run's first and last strict step
+    first = np.flatnonzero(np.diff(up, prepend=~up[0]))
+    last = np.append(first[1:], strict.size) - 1
+    start = np.append(0, strict[first[1:]])
+    end = np.append(start[1:], n - 1)
+    rising = up[first]
+    # a monotone run first attains one extreme at its start and the other
+    # one past its last strict step, where its closing plateau begins
+    late = strict[last] + 1
+    argmin = np.where(rising, start, late)
+    argmax = np.where(rising, late, start)
+    no_flags = np.zeros(start.size, dtype=bool)
+    return DomainPartition(
+        start=start,
+        end=end,
+        rising=rising,
+        argmin=argmin,
+        argmax=argmax,
+        c_min=s[argmin],
+        c_max=s[argmax],
+        local_opt_min=no_flags,
+        local_opt_max=no_flags,
+    )
 
 
 def detect_local_optima(trace, part: DomainPartition, n: int) -> DomainPartition:
@@ -195,38 +222,32 @@ def detect_local_optima(trace, part: DomainPartition, n: int) -> DomainPartition
     """
     s = _trace_values(trace)
     thr = (1.0 / n) * (1.0 + 1e-9)
-    runs = list(part.runs)
-    for i in range(len(runs) - 1):
-        j = runs[i].end
-        if j < 1 or j + 1 >= s.size:
-            continue
-        left, right = runs[i].n_points, runs[i + 1].n_points
-        long_runs = left > 4 and right > 4
-        small_steps = abs(s[j] - s[j - 1]) <= thr and abs(s[j + 1] - s[j]) <= thr
-        if not (long_runs or (small_steps and left + right > 4)):
-            continue
-        if runs[i].direction == NON_DECREASING:
-            # rising into the boundary then falling out: a local maximum
-            runs[i] = replace(runs[i], local_opt_max=True)
-            runs[i + 1] = replace(runs[i + 1], local_opt_max=True)
-        else:
-            runs[i] = replace(runs[i], local_opt_min=True)
-            runs[i + 1] = replace(runs[i + 1], local_opt_min=True)
-    return DomainPartition(runs=tuple(runs))
+    j = part.end[:-1]
+    left, right = part.n_points[:-1], part.n_points[1:]
+    long_runs = (left > 4) & (right > 4)
+    small_steps = (np.abs(s[j] - s[j - 1]) <= thr) & (np.abs(s[j + 1] - s[j]) <= thr)
+    flagged = long_runs | (small_steps & (left + right > 4))
+    # rising into a boundary then falling out is a local maximum
+    peak = flagged & part.rising[:-1]
+    valley = flagged & ~part.rising[:-1]
+    return replace(
+        part,
+        local_opt_min=np.append(valley, False) | np.append(False, valley),
+        local_opt_max=np.append(peak, False) | np.append(False, peak),
+    )
 
 
-def domain_gamma(lambda_min: float, lambda_max: float, flagged: bool) -> float:
-    """Score of one run: 1 at a flagged local optimum, else the mean lambda."""
-    if flagged:
-        return 1.0
-    return 0.5 * (lambda_min + lambda_max)
+def domain_gamma(lambda_min, lambda_max, flagged):
+    """Score of each run: 1 at a flagged local optimum, else the mean lambda."""
+    return np.where(flagged, 1.0, 0.5 * (lambda_min + lambda_max))[()]
 
 
 def copula_statistic(sample, sort_axis: int = 0) -> CosReport:
     """Compute the copula statistic of an n-by-d sample.
 
     The trace is sorted on `sort_axis` (column 0 by default).  Runtime is
-    O(d n log n + n^2) and the result is deterministic in the input.
+    O(d n^2), as the trace compares every pair of points; scoring the runs is
+    O(n) array work.  The result is deterministic in the input.
     """
     sample = as_sample(sample)
     ps = pseudo_observations(sample)
@@ -235,38 +256,13 @@ def copula_statistic(sample, sort_axis: int = 0) -> CosReport:
     part = detect_local_optima(trace, partition_domains(trace), n)
 
     tol = 1.0 / (2 * n)
-    records = []
-    total = 0.0
-    for run in part.runs:
-        lam_min = relative_distance(run.c_min, trace.points[run.argmin], tol)
-        lam_max = relative_distance(run.c_max, trace.points[run.argmax], tol)
-        if lam_min == 1.0 and lam_max == 1.0:
-            gamma = 1.0
-        else:
-            gamma = domain_gamma(
-                lam_min, lam_max, run.local_opt_min or run.local_opt_max
-            )
-        total += run.n_points * gamma
-        records.append(
-            DomainRecord(
-                start=run.start,
-                end=run.end,
-                direction=run.direction,
-                n_points=run.n_points,
-                lambda_min=lam_min,
-                lambda_max=lam_max,
-                gamma=gamma,
-                local_opt_min=run.local_opt_min,
-                local_opt_max=run.local_opt_max,
-            )
-        )
-
+    lam_min = relative_distance(part.c_min, trace.points[part.argmin], tol)
+    lam_max = relative_distance(part.c_max, trace.points[part.argmax], tol)
+    gamma = domain_gamma(lam_min, lam_max, part.local_opt_min | part.local_opt_max)
     m = part.m
-    return CosReport(
-        cos=total / (n + m - 1),
-        n=n,
-        d=ps.d,
-        m=m,
-        sort_axis=sort_axis,
-        domains=tuple(records),
-    )
+    # cumsum adds in run order, so the total is that of a running sum
+    cos = float(np.cumsum(part.n_points * gamma)[-1] / (n + m - 1))
+    columns = (part.start, part.end, part.direction, part.n_points, lam_min,
+               lam_max, gamma, part.local_opt_min, part.local_opt_max)
+    records = tuple(map(DomainRecord, *(c.tolist() for c in columns)))
+    return CosReport(cos=cos, n=n, d=ps.d, m=m, sort_axis=sort_axis, domains=records)

@@ -55,6 +55,13 @@ class TestCos:
         assert "dropped 1 row" in captured.err
         assert json.loads(captured.out)["n"] == 3
 
+    def test_format_option_rejected(self, comono_csv, capsys):
+        # cos writes JSON only, so asking for CSV is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["cos", comono_csv, "--format", "csv"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+
     def test_sort_axis_flag(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         rows = ["a,b,c"] + [",".join(f"{v:.6f}" for v in r) for r in rng.random((30, 3))]

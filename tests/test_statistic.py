@@ -1,9 +1,12 @@
 """The copula statistic: trace, domain partition, local optima, gamma."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from copstat import (
+    BoundsViolated,
     InvalidInput,
     Sample,
     copula_statistic,
@@ -14,6 +17,8 @@ from copstat import (
     pseudo_observations,
 )
 from copstat.statistic import NON_DECREASING, NON_INCREASING
+
+from oracles import naive_cos_report
 
 
 def make_trace(values):
@@ -199,11 +204,48 @@ class TestCopulaStatistic:
 
     def test_in_unit_interval(self):
         rng = np.random.default_rng(7)
-        for _ in range(20):
-            n = int(rng.integers(2, 80))
-            rep = copula_statistic(Sample(rng.random((n, 2))))
-            assert 0.0 <= rep.cos <= 1.0
-            assert all(0.0 <= r.gamma <= 1.0 for r in rep.domains)
+        for d in (2, 3, 4, 5):
+            for _ in range(20):
+                n = int(rng.integers(2, 80))
+                data = rng.random((n, d))
+                # discretise some columns, keeping two distinct values in each
+                for k in np.flatnonzero(rng.random(d) < 0.5):
+                    data[:, k] = rng.integers(0, int(rng.integers(2, 6)), size=n)
+                    data[:2, k] = (0, 1)
+                try:
+                    rep = copula_statistic(Sample(data))
+                except BoundsViolated as exc:
+                    pytest.fail(f"d={d}, n={n}: {exc}")
+                assert 0.0 <= rep.cos <= 1.0
+                assert all(0.0 <= r.gamma <= 1.0 for r in rep.domains)
+
+    def test_matches_oracle(self):
+        rng = np.random.default_rng(13)
+        cases = [
+            (kind, d, n)
+            for kind in ("random", "tied", "monotone", "sine", "noisy_sine")
+            for d in (2, 3, 4, 5)
+            for n in (2, 5, 40, int(rng.integers(60, 201)))
+        ]
+        for kind, d, n in cases:
+            x = rng.uniform(-1.0, 1.0, n)
+            if kind == "random":
+                data = rng.random((n, d))
+            elif kind == "tied":
+                data = rng.integers(0, 5, size=(n, d)).astype(float)
+                data[:2] = ((0,), (1,))  # no constant column
+            elif kind == "monotone":
+                data = np.column_stack([x] + [(-1) ** k * np.exp(k * x) for k in range(1, d)])
+            else:
+                noise = 0.3 if kind == "noisy_sine" else 0.0
+                data = np.column_stack(
+                    [x] + [np.sin(14 * x + k) + noise * rng.normal(size=n) for k in range(1, d)]
+                )
+            for axis in range(d):
+                rep = copula_statistic(Sample(data), sort_axis=axis)
+                cos, m, domains = naive_cos_report(data.tolist(), axis)
+                assert (rep.cos, rep.m) == (cos, m), (kind, d, n, axis)
+                assert [asdict(r) for r in rep.domains] == domains, (kind, d, n, axis)
 
     def test_invariant_under_increasing_transforms(self):
         rng = np.random.default_rng(8)
