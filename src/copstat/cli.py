@@ -143,7 +143,8 @@ def cmd_cos(args) -> int:
         "m": report.m,
         "sort_axis": report.sort_axis,
         "columns": header,
-        "domains": [asdict(rec) for rec in report.domains],
+        # records hold only scalars, so a shallow copy equals asdict's deep one
+        "domains": [dict(vars(rec)) for rec in report.domains],
     }
     emit_json(args.out, payload)
     return 0

@@ -1,7 +1,8 @@
 """Empirical copulas over rank-transformed data.
 
 Rank transform to pseudo-observations, exact step-function evaluation of
-the d-dimensional empirical copula, the Frechet-Hoeffding envelopes, the
+the d-dimensional empirical copula (at any points, or as integer dominance
+counts at every sample point), the Frechet-Hoeffding envelopes, the
 product copula, and the relative distance of a copula value from the
 independence surface.
 
@@ -30,6 +31,11 @@ DEGENERATE_EPS = 1e-12
 # Comparison-cell budget per block when batch-evaluating the copula; keeps
 # the (block, n, d) broadcast under ~100 MB.
 _EVAL_BLOCK_CELLS = 8_000_000
+
+# uint64 words per prefix table in dominance_counts (~4 MB).  Tables that
+# fit in cache are also faster: at n = 20000, d = 2 an 8M-word budget took
+# about twice as long (207 vs 105 ms on a 2-core x86 host).
+_PREFIX_TABLE_WORDS = 500_000
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -175,7 +181,11 @@ class EmpiricalCopula:
         return int(np.count_nonzero(inside)) / self.n
 
     def cdf_many(self, pts: np.ndarray) -> np.ndarray:
-        """Evaluate C_n at each row of an (m, d) array of unit points."""
+        """Evaluate C_n at each row of an (m, d) array of unit points.
+
+        At the sample's own points, dominance_counts(points) / n gives the
+        same values in O(d n^2 / 64) word operations.
+        """
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.d:
             raise DimensionMismatch(
@@ -190,6 +200,45 @@ class EmpiricalCopula:
             hit = np.all(u[None, :, :] <= pts[lo:hi, None, :], axis=2)
             out[lo:hi] = hit.sum(axis=1, dtype=np.int64)
         return out / self.n
+
+
+def dominance_counts(ps: PseudoSample) -> np.ndarray:
+    """n * C_n at every sample point: #{i : u_i <= u_j in every coordinate}.
+
+    Returns int64 counts in row order.  Per column, row t of a prefix table
+    is the bitset of the first t + 1 points in stable sorted order, so
+    point j's set of points at or below it in that column is the row before
+    the first larger value; AND-ing its d rows and counting bits gives its
+    count.  O(d n^2 / 64) word operations; the points are tiled by 64-bit
+    word so that each table holds at most _PREFIX_TABLE_WORDS words, or n
+    words (one word per row) when n is larger.
+    """
+    u = ps.u
+    n, d = u.shape
+    point = np.arange(n)
+    order = np.argsort(u, axis=0, kind="stable")
+    ranked = np.take_along_axis(u, order, axis=0)
+    rank = np.empty_like(order)  # sorted position of each point, per column
+    row = np.empty_like(order)  # last sorted position of its value, per column
+    for k in range(d):
+        rank[order[:, k], k] = point
+        row[order[:, k], k] = np.searchsorted(ranked[:, k], ranked[:, k], side="right") - 1
+    bit = np.left_shift(np.uint64(1), (point % 64).astype(np.uint64))
+    words = -(-n // 64)
+    tile = max(1, _PREFIX_TABLE_WORDS // n)
+    counts = np.zeros(n, dtype=np.int64)
+    for w0 in range(0, words, tile):
+        w1 = min(w0 + tile, words)
+        pts = point[64 * w0:64 * w1]
+        hit = None
+        for k in range(d):
+            table = np.zeros((n, w1 - w0), dtype=np.uint64)
+            table[rank[pts, k], pts // 64 - w0] = bit[pts]
+            np.bitwise_or.accumulate(table, axis=0, out=table)
+            below = table[row[:, k]]
+            hit = below if hit is None else np.bitwise_and(hit, below, out=hit)
+        counts += np.bitwise_count(hit).sum(axis=1, dtype=np.int64)
+    return counts
 
 
 def empirical_copula(sample) -> EmpiricalCopula:

@@ -112,6 +112,20 @@ def naive_cos_report(rows, sort_axis):
     return total / (n + m - 1), m, domains
 
 
+def naive_kendall_mv(rows):
+    """Multivariate Kendall tau of a list of d-tuples: the copula plug-in
+    over ordered pairs of distinct points, with the dominance total counted
+    by double loop."""
+    n, d = len(rows), len(rows[0])
+    columns = [naive_ranks([row[k] for row in rows]) for k in range(d)]
+    ranks = [[columns[k][i] for k in range(d)] for i in range(n)]
+    total = 0
+    for point in ranks:
+        total += naive_copula_count(ranks, point)
+    mean_c = (total - n) / (n * (n - 1))
+    return (2.0**d * mean_c - 1.0) / (2.0 ** (d - 1) - 1.0)
+
+
 def kendall_tau_pairs(xs, ys):
     """Classical concordant/discordant pair-counting Kendall tau."""
     n = len(xs)

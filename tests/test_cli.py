@@ -1,11 +1,12 @@
 """Command-line interface: parsing, dispatch, file round-trips, exit codes."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from copstat import CalibrationCurve, run_power
+from copstat import CalibrationCurve, copula_statistic, run_power
 from copstat.cli import main
 
 
@@ -54,6 +55,18 @@ class TestCos:
         captured = capsys.readouterr()
         assert "dropped 1 row" in captured.err
         assert json.loads(captured.out)["n"] == 3
+
+    def test_domains_equal_report_records(self, tmp_path, capsys):
+        rng = np.random.default_rng(11)
+        x = rng.random(300)
+        data = np.column_stack([x, np.sin(9 * x) + 0.3 * rng.normal(size=300)])
+        path = tmp_path / "noisy.csv"
+        np.savetxt(path, data, fmt="%.17g", delimiter=",", header="x,y", comments="")
+        assert main(["cos", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        report = copula_statistic(data)
+        assert report.m > 10
+        assert doc["domains"] == [asdict(r) for r in report.domains]
 
     def test_format_option_rejected(self, comono_csv, capsys):
         # cos writes JSON only, so asking for CSV is a usage error

@@ -14,6 +14,7 @@ from copstat import (
     EmpiricalCopula,
     InvalidInput,
     Sample,
+    copula_core,
     empirical_copula,
     frechet_lower,
     frechet_upper,
@@ -21,6 +22,7 @@ from copstat import (
     pseudo_observations,
     relative_distance,
 )
+from copstat.copula_core import PseudoSample, dominance_counts
 
 from oracles import gaussian_copula_at_half, naive_copula_count, naive_ranks
 
@@ -137,6 +139,58 @@ class TestEmpiricalCopula:
                 q = p.copy()
                 q[k] = min(1.0, q[k] + rng.random() * (1 - q[k]))
                 assert cop.cdf(q) >= base - 1e-12
+
+
+def _kernel_input(kind, n, d, rng):
+    """Pseudo-observations with distinct ranks, tied values or equal columns."""
+    if kind == "random":
+        return pseudo_observations(Sample(rng.random((n, d))))
+    if kind == "tied":
+        # values on a 4-level grid, so columns share values (not rank / n)
+        return PseudoSample(rng.integers(1, 5, size=(n, d)) / 4)
+    return pseudo_observations(Sample(np.repeat(rng.random((n, 1)), d, axis=1)))
+
+
+def _naive_counts(ps):
+    rows = ps.u.tolist()
+    return [naive_copula_count(rows, p) for p in rows]
+
+
+class TestDominanceCounts:
+    @pytest.mark.parametrize("kind", ["random", "tied", "monotone"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 127, 128, 129])
+    def test_matches_naive_count_across_tiles(self, n, d, kind, monkeypatch):
+        ps = _kernel_input(kind, n, d, np.random.default_rng(1000 * n + 10 * d))
+        expected = _naive_counts(ps)
+        for words in (1, 7, copula_core._PREFIX_TABLE_WORDS):
+            monkeypatch.setattr(copula_core, "_PREFIX_TABLE_WORDS", words)
+            counts = dominance_counts(ps)
+            assert counts.dtype == np.int64
+            assert counts.tolist() == expected
+
+    @pytest.mark.parametrize("kind", ["random", "tied", "monotone"])
+    @pytest.mark.parametrize("n,d", [(700, 2), (1500, 3), (1100, 5)])
+    def test_divided_by_n_equals_cdf_many(self, n, d, kind):
+        ps = _kernel_input(kind, n, d, np.random.default_rng(n + d))
+        assert np.array_equal(dominance_counts(ps) / n, EmpiricalCopula(ps).cdf_many(ps.u))
+
+    @given(
+        st.integers(min_value=2, max_value=5).flatmap(
+            lambda d: st.lists(
+                st.lists(st.integers(1, 6), min_size=d, max_size=d),
+                min_size=2,
+                max_size=140,
+            )
+        ),
+        st.sampled_from([1, 3, 500_000]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_matches_naive_count(self, levels, words):
+        ps = PseudoSample(np.array(levels, dtype=float) / 6)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(copula_core, "_PREFIX_TABLE_WORDS", words)
+            assert dominance_counts(ps).tolist() == _naive_counts(ps)
 
 
 class TestEnvelopes:

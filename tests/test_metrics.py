@@ -1,8 +1,14 @@
 """Reference metrics: pearson, spearman, multivariate kendall, dcor."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import copstat
 from copstat import (
     DegenerateMarginal,
     DimensionMismatch,
@@ -15,7 +21,7 @@ from copstat import (
     spearman,
 )
 
-from oracles import kendall_tau_pairs
+from oracles import kendall_tau_pairs, naive_kendall_mv
 
 
 def cols(x, y):
@@ -93,6 +99,14 @@ class TestKendallMv:
         tau = kendall_mv(Sample.from_columns([x, 2 * x, x**3]))
         assert tau == pytest.approx(1.0, abs=0.02)
 
+    @pytest.mark.parametrize("n,d", [(2, 2), (9, 2), (65, 3), (130, 5)])
+    def test_dominance_total_matches_double_loop(self, n, d):
+        rng = np.random.default_rng(n * d)
+        tied = rng.integers(0, 4, size=(n, d)).astype(float)
+        tied[0] = 9.0  # no constant column
+        for data in (rng.random((n, d)), tied):
+            assert kendall_mv(Sample(data)) == naive_kendall_mv(data.tolist())
+
     def test_invariance_under_monotone_transforms(self):
         rng = np.random.default_rng(10)
         x, y = rng.normal(size=60), rng.normal(size=60)
@@ -128,3 +142,13 @@ class TestDcor:
         for _ in range(10):
             v = dcor(Sample(rng.random((60, 2))))
             assert 0.0 <= v <= 1.0
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats dominates import time and only spearman needs it
+    src = str(Path(copstat.__file__).resolve().parents[1])
+    code = "import sys, copstat, copstat.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stdout.strip() == "False"
