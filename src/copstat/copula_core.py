@@ -38,6 +38,22 @@ _EVAL_BLOCK_CELLS = 8_000_000
 _PREFIX_TABLE_WORDS = 500_000
 
 
+def _observations(data, axes: tuple[str, ...]) -> np.ndarray:
+    """`data` as floats of shape `axes`, ending in (n, d): samples of at
+    least 2 finite rows and 2 columns."""
+    a = np.asarray(data, dtype=float)
+    if a.ndim != len(axes):
+        raise InvalidInput(f"sample must be a {len(axes)}-D array of shape ({', '.join(axes)})")
+    n, d = a.shape[-2:]
+    if n < 2:
+        raise InvalidInput(f"sample needs at least 2 rows, got {n}")
+    if d < 2:
+        raise InvalidInput(f"sample needs at least 2 columns, got {d}")
+    if not np.isfinite(a).all():
+        raise InvalidInput("sample contains NaN or Inf values")
+    return a
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
     a.flags.writeable = False
@@ -51,16 +67,7 @@ class Sample:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.data, dtype=float)
-        if a.ndim != 2:
-            raise InvalidInput("sample must be a 2-D array of shape (n, d)")
-        n, d = a.shape
-        if n < 2:
-            raise InvalidInput(f"sample needs at least 2 rows, got {n}")
-        if d < 2:
-            raise InvalidInput(f"sample needs at least 2 columns, got {d}")
-        if not np.isfinite(a).all():
-            raise InvalidInput("sample contains NaN or Inf values")
+        a = _observations(self.data, ("n", "d"))
         object.__setattr__(self, "data", _readonly(a))
 
     @classmethod
@@ -119,12 +126,25 @@ class PseudoSample:
         return self.u.shape[1]
 
 
-def _ordinal_ranks(col: np.ndarray) -> np.ndarray:
-    """Ranks 1..n, ties resolved by first occurrence (stable sort)."""
-    order = np.argsort(col, kind="stable")
-    ranks = np.empty(col.size, dtype=np.int64)
-    ranks[order] = np.arange(1, col.size + 1)
-    return ranks
+def _ranked(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pseudo-observations of each (T, n, d) sample: ordinal ranks / n
+    along axis 1, ties resolved by first occurrence.  Also returns the
+    stable sorting order along axis 1, which sorts the pseudo-observations
+    too.
+
+    Raises DegenerateMarginal if a column is constant.
+    """
+    T, n, _ = x.shape
+    order = np.argsort(x, axis=1, kind="stable")
+    ends = np.take_along_axis(x, order[:, [0, -1]], axis=1)
+    constant = np.argwhere(ends[:, 0] == ends[:, 1])
+    if constant.size:
+        t, k = constant[0]
+        where = f" of sample {t}" if T > 1 else ""
+        raise DegenerateMarginal(f"column {k}{where} is constant")
+    ranks = np.empty(x.shape, dtype=np.int64)
+    np.put_along_axis(ranks, order, np.arange(1, n + 1)[:, None], axis=1)
+    return ranks / n, order
 
 
 def pseudo_observations(sample) -> PseudoSample:
@@ -133,15 +153,8 @@ def pseudo_observations(sample) -> PseudoSample:
     Raises DegenerateMarginal if a column is constant and InvalidInput on
     NaN/Inf or fewer than 2 rows.
     """
-    sample = as_sample(sample)
-    n = sample.n
-    u = np.empty((n, sample.d), dtype=float)
-    for k in range(sample.d):
-        col = sample.column(k)
-        if np.all(col == col[0]):
-            raise DegenerateMarginal(f"column {k} is constant")
-        u[:, k] = _ordinal_ranks(col) / n
-    return PseudoSample(u=u)
+    u, _ = _ranked(as_sample(sample).data[None])
+    return PseudoSample(u=u[0])
 
 
 def as_unit_point(point, d: int | None = None) -> np.ndarray:
@@ -205,39 +218,57 @@ class EmpiricalCopula:
 def dominance_counts(ps: PseudoSample) -> np.ndarray:
     """n * C_n at every sample point: #{i : u_i <= u_j in every coordinate}.
 
-    Returns int64 counts in row order.  Per column, row t of a prefix table
-    is the bitset of the first t + 1 points in stable sorted order, so
-    point j's set of points at or below it in that column is the row before
-    the first larger value; AND-ing its d rows and counting bits gives its
-    count.  O(d n^2 / 64) word operations; the points are tiled by 64-bit
-    word so that each table holds at most _PREFIX_TABLE_WORDS words, or n
-    words (one word per row) when n is larger.
+    Returns int64 counts in row order, in O(d n^2 / 64) word operations;
+    see `_dominance_counts`.
     """
-    u = ps.u
-    n, d = u.shape
+    u = ps.u[None]
+    return _dominance_counts(u, np.argsort(u, axis=1, kind="stable"))[0]
+
+
+def _dominance_counts(u: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """`dominance_counts` of each sample of a (T, n, d) stack, shape (T, n);
+    `order` is the stable sorting order of u along axis 1.
+
+    Per sample and column, row t of a prefix table is the bitset of the
+    first t + 1 points in stable sorted order, so point j's set of points
+    at or below it in that column is the row of the last point sharing its
+    value; AND-ing its d rows and counting bits gives its count.  Points
+    are tiled by 64-bit word and samples by block so that each table
+    holds at most _PREFIX_TABLE_WORDS words, or n words (one sample, one
+    word per row) when n is larger.
+    """
+    T, n, d = u.shape
     point = np.arange(n)
-    order = np.argsort(u, axis=0, kind="stable")
-    ranked = np.take_along_axis(u, order, axis=0)
     rank = np.empty_like(order)  # sorted position of each point, per column
-    row = np.empty_like(order)  # last sorted position of its value, per column
-    for k in range(d):
-        rank[order[:, k], k] = point
-        row[order[:, k], k] = np.searchsorted(ranked[:, k], ranked[:, k], side="right") - 1
+    np.put_along_axis(rank, order, point[:, None], axis=1)
+    ranked = np.take_along_axis(u, order, axis=1)
+    is_last = np.ones(ranked.shape, dtype=bool)
+    is_last[:, :-1] = ranked[:, 1:] != ranked[:, :-1]
+    row = rank  # last sorted position of its value, per column
+    if not is_last.all():  # ties; ordinal-rank pseudo-observations have none
+        last = np.where(is_last, point[:, None], n)[:, ::-1]
+        last = np.minimum.accumulate(last, axis=1)[:, ::-1]
+        row = np.empty_like(order)
+        np.put_along_axis(row, order, last, axis=1)
     bit = np.left_shift(np.uint64(1), (point % 64).astype(np.uint64))
     words = -(-n // 64)
-    tile = max(1, _PREFIX_TABLE_WORDS // n)
-    counts = np.zeros(n, dtype=np.int64)
-    for w0 in range(0, words, tile):
-        w1 = min(w0 + tile, words)
-        pts = point[64 * w0:64 * w1]
-        hit = None
-        for k in range(d):
-            table = np.zeros((n, w1 - w0), dtype=np.uint64)
-            table[rank[pts, k], pts // 64 - w0] = bit[pts]
-            np.bitwise_or.accumulate(table, axis=0, out=table)
-            below = table[row[:, k]]
-            hit = below if hit is None else np.bitwise_and(hit, below, out=hit)
-        counts += np.bitwise_count(hit).sum(axis=1, dtype=np.int64)
+    tile = max(1, min(words, _PREFIX_TABLE_WORDS // n))
+    block = max(1, _PREFIX_TABLE_WORDS // (n * tile))
+    counts = np.zeros((T, n), dtype=np.int64)
+    for t0 in range(0, T, block):
+        t1 = min(t0 + block, T)
+        sample = np.arange(t1 - t0)[:, None]
+        for w0 in range(0, words, tile):
+            w1 = min(w0 + tile, words)
+            pts = point[64 * w0:64 * w1]
+            hit = None
+            for k in range(d):
+                table = np.zeros((t1 - t0, n, w1 - w0), dtype=np.uint64)
+                table[sample, rank[t0:t1, pts, k], pts // 64 - w0] = bit[pts]
+                np.bitwise_or.accumulate(table, axis=1, out=table)
+                below = table[sample, row[t0:t1, :, k]]
+                hit = below if hit is None else np.bitwise_and(hit, below, out=hit)
+            counts[t0:t1] += np.bitwise_count(hit).sum(axis=2, dtype=np.int64)
     return counts
 
 

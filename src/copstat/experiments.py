@@ -17,11 +17,14 @@ import numpy as np
 from .copula_core import Sample, as_sample
 from .errors import EmptyEdgeList, InvalidInput, InvalidParam
 from .metrics import METRICS, compute_metric
-from .statistic import copula_statistic
-from .synth import (
+# copula_statistic and derive_rng stay importable from this module because
+# perfbench's tracer swaps them here
+from .statistic import _cos_batch, copula_statistic  # noqa: F401
+from .synth import (  # noqa: F401
     DependencySpec,
     derive_rng,
     gen_dependency,
+    mc_values,
     sample_clayton_copula,
     sample_gaussian_copula,
     sample_gumbel_copula,
@@ -48,6 +51,13 @@ class PowerCurve:
 def _metric_value(metric: str, sample) -> float:
     v = compute_metric(metric, sample)
     return abs(v) if metric in SIGNED_METRICS else v
+
+
+def _metric_batch(metric: str):
+    """Scorer of a (T, n, 2) block of samples by `metric`, for mc_values."""
+    if metric == "cos":
+        return _cos_batch
+    return lambda block: np.array([_metric_value(metric, x) for x in block])
 
 
 def _as_spec(dependency, p: float) -> DependencySpec:
@@ -81,6 +91,8 @@ def run_power(
     metric or the noise level, so all metrics see identical data and the
     noise grid is coupled through common random numbers; power trends in p
     are then monotone up to estimator noise rather than trial noise.
+    Trials are scored in blocks: `cos` in one pass per block, the other
+    metrics one sample at a time.
     """
     if metric not in POWER_METRICS:
         raise InvalidParam(f"metric must be one of {POWER_METRICS}, got {metric!r}")
@@ -91,20 +103,17 @@ def run_power(
     p_grid = tuple(float(p) for p in p_grid)
     dep_name = dependency.kind if isinstance(dependency, DependencySpec) else str(dependency)
 
+    score = _metric_batch(metric)
     powers = []
     for p in p_grid:
         spec = _as_spec(dependency, p)
-        null_vals = np.empty(trials)
-        for t in range(trials):
-            rng = derive_rng(seed, "power", dep_name, "h0", t)
-            null_vals[t] = _metric_value(metric, gen_dependency(spec, n, rng, independent=True))
+        null_vals = mc_values(seed, ("power", dep_name, "h0"), trials,
+                              lambda rng: gen_dependency(spec, n, rng, independent=True).data,
+                              score)
         cutoff = float(np.quantile(null_vals, 1.0 - alpha))
-        hits = 0
-        for t in range(trials):
-            rng = derive_rng(seed, "power", dep_name, "h1", t)
-            if _metric_value(metric, gen_dependency(spec, n, rng)) > cutoff:
-                hits += 1
-        powers.append(hits / trials)
+        vals = mc_values(seed, ("power", dep_name, "h1"), trials,
+                         lambda rng: gen_dependency(spec, n, rng).data, score)
+        powers.append(int(np.count_nonzero(vals > cutoff)) / trials)
 
     return PowerCurve(
         dependency=dep_name,
@@ -161,7 +170,9 @@ def run_equitability(
     is the exact target coefficient of determination.  The interpretable
     interval at a statistic level is the spread of R^2 values any curve
     assigns that level; worst/average summarize over a 0.01-spaced level
-    axis.
+    axis.  Repetition t at the i-th R^2 of function f draws from the
+    stream derived from (seed, "equit", f, i, t); repetitions are scored
+    in blocks.
     """
     fn_ids = tuple(int(i) for i in fn_ids)
     r2_grid = tuple(sorted(float(r) for r in r2_grid))
@@ -173,10 +184,8 @@ def run_equitability(
         means = []
         for ri, r2 in enumerate(r2_grid):
             spec = DependencySpec(kind="testfn", fn_id=fid, noise_mode="r2_additive", r2=r2)
-            vals = np.empty(reps)
-            for t in range(reps):
-                rng = derive_rng(seed, "equit", fid, ri, t)
-                vals[t] = copula_statistic(gen_dependency(spec, n, rng)).cos
+            vals = mc_values(seed, ("equit", fid, ri), reps,
+                             lambda rng: gen_dependency(spec, n, rng).data, _cos_batch)
             means.append(float(vals.mean()))
         curves[fid] = tuple(means)
 
@@ -232,17 +241,16 @@ def _source_sampler(source: str):
 
 def run_bias_table(sources, n_grid, trials: int = 500, seed: int = 0) -> list[BiasRow]:
     """Sample mean and standard deviation of the statistic per generator
-    and sample size."""
+    and sample size.  Trial t draws from the stream derived from (seed,
+    "bias", source, n, t); trials are scored in blocks."""
     if trials < 500:
         raise InvalidParam("bias tables need at least 500 trials")
     rows = []
     for source in sources:
         sampler = _source_sampler(source)
         for n in n_grid:
-            vals = np.empty(trials)
-            for t in range(trials):
-                rng = derive_rng(seed, "bias", source, n, t)
-                vals[t] = copula_statistic(sampler(int(n), rng)).cos
+            vals = mc_values(seed, ("bias", source, n), trials,
+                             lambda rng: sampler(int(n), rng).data, _cos_batch)
             rows.append(BiasRow(source=source, n=int(n), mu=float(vals.mean()),
                                 sigma=float(vals.std(ddof=1))))
     return rows

@@ -17,8 +17,16 @@ from scipy.special import ndtri
 
 from .copula_core import Sample, as_sample
 from .errors import InvalidGrid, InvalidInput, InvalidParam
-from .statistic import copula_statistic
-from .synth import derive_rng, sample_clayton_copula, sample_gaussian_copula, sample_gumbel_copula
+from .statistic import _cos_batch, copula_statistic
+# derive_rng stays importable from this module because perfbench's tracer
+# swaps it here
+from .synth import (  # noqa: F401
+    derive_rng,
+    mc_values,
+    sample_clayton_copula,
+    sample_gaussian_copula,
+    sample_gumbel_copula,
+)
 
 H0 = "independent"
 H1 = "dependent"
@@ -115,12 +123,13 @@ class TestResult:
 
 def null_moments(n: int, trials: int, seed: int) -> tuple[float, float]:
     """Monte Carlo mean and standard deviation of the statistic under
-    independence at one sample size.  Trial t uses the stream derived from
-    (seed, "null", n, t), so results do not depend on evaluation order."""
-    vals = np.empty(trials)
-    for t in range(trials):
-        rng = derive_rng(seed, "null", n, t)
-        vals[t] = copula_statistic(rng.random((n, 2))).cos
+    independence at one sample size.  Trial t draws n independent uniform
+    pairs from the stream derived from (seed, "null", n, t); trials are
+    scored in blocks, so results do not depend on evaluation order.
+    Needs at least 2 trials for the standard deviation."""
+    if trials < 2:
+        raise InvalidParam(f"null moments need at least 2 trials, got {trials}")
+    vals = mc_values(seed, ("null", n), trials, lambda rng: rng.random((n, 2)), _cos_batch)
     return float(vals.mean()), float(vals.std(ddof=1))
 
 
@@ -166,16 +175,25 @@ def test_independence(
     this sample size; dependence is declared when |z| exceeds the normal
     quantile (2.576 at the 1% level).
     """
-    if not 0.0 < alpha <= 0.5:
-        raise InvalidParam(f"alpha must be in (0, 0.5], got {alpha}")
+    _check_alpha(alpha)
     s = as_sample(sample)
     value = copula_statistic(s).cos
-    mu = curve.predict_mu(s.n)
-    sigma = curve.predict_sigma(s.n)
-    z = (value - mu) / sigma
-    cutoff = float(ndtri(1.0 - alpha / 2.0))
-    decision = H1 if abs(z) > cutoff else H0
+    z, cutoff, dependent = _z_test(value, s.n, curve, alpha)
+    decision = H1 if dependent else H0
     return TestResult(cos=value, z=z, cutoff=cutoff, alpha=alpha, decision=decision, n=s.n)
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha <= 0.5:
+        raise InvalidParam(f"alpha must be in (0, 0.5], got {alpha}")
+
+
+def _z_test(cos, n: int, curve: CalibrationCurve, alpha: float):
+    """z of statistic values from n-point samples, the two-sided cutoff at
+    level alpha, and whether each |z| exceeds it (dependence declared)."""
+    z = (cos - curve.predict_mu(n)) / curve.predict_sigma(n)
+    cutoff = float(ndtri(1.0 - alpha / 2.0))
+    return z, cutoff, np.abs(z) > cutoff
 
 
 _COPULA_SAMPLERS = {
@@ -205,11 +223,11 @@ def type2_error(
     seed: int = 0,
 ) -> float:
     """Fraction of dependent-copula trials the test wrongly accepts as
-    independent."""
-    accepted = 0
-    for t in range(trials):
-        rng = derive_rng(seed, "type2", copula_family, n, t)
-        sample = sample_copula(copula_family, param, n, rng)
-        if not test_independence(sample, curve, alpha).dependent:
-            accepted += 1
-    return accepted / trials
+    independent.  Trial t draws from the stream derived from (seed,
+    "type2", copula_family, n, t); trials are scored in blocks and the
+    z-test of `test_independence` is applied to all their values at once."""
+    _check_alpha(alpha)
+    cos = mc_values(seed, ("type2", copula_family, n), trials,
+                    lambda rng: sample_copula(copula_family, param, n, rng).data, _cos_batch)
+    _, _, dependent = _z_test(cos, n, curve, alpha)
+    return int(np.count_nonzero(~dependent)) / trials

@@ -10,6 +10,10 @@ credited a full score.
 The result lies in [0, 1]: near 0 for independent data, exactly 1 for
 noise-free monotone dependence at any n >= 2, and asymptotically 1 for any
 functional dependence.
+
+Each stage works on a stack of samples.  `copula_statistic` and the public
+stage functions run a stack of one; the Monte Carlo pipelines score whole
+blocks of trials through `_cos_batch`, with bit-identical values.
 """
 
 from __future__ import annotations
@@ -21,8 +25,10 @@ import numpy as np
 
 from .copula_core import (
     PseudoSample,
+    _dominance_counts,
+    _observations,
+    _ranked,
     as_sample,
-    dominance_counts,
     pseudo_observations,
     relative_distance,
 )
@@ -134,6 +140,19 @@ class CosReport:
     domains: tuple[DomainRecord, ...]
 
 
+def _check_axis(sort_axis: int, d: int) -> None:
+    if not 0 <= sort_axis < d:
+        raise InvalidInput(f"sort_axis {sort_axis} out of range for d={d}")
+
+
+def _sorted_trace(u, order, sort_axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Trace order and values, both (T, n), of each sample of a (T, n, d)
+    stack of pseudo-observations with stable sorting order `order`."""
+    by_axis = order[..., sort_axis]
+    values = np.take_along_axis(_dominance_counts(u, order), by_axis, axis=1) / u.shape[1]
+    return by_axis, values
+
+
 def copula_trace(ps: PseudoSample, sort_axis: int = 0) -> Trace:
     """Evaluate the empirical copula at every sample point, sorted by one axis.
 
@@ -142,17 +161,48 @@ def copula_trace(ps: PseudoSample, sort_axis: int = 0) -> Trace:
     pseudo-coordinate vector, its exact dominance count from
     `dominance_counts` divided by n.
     """
-    if not 0 <= sort_axis < ps.d:
-        raise InvalidInput(f"sort_axis {sort_axis} out of range for d={ps.d}")
-    order = np.argsort(ps.u[:, sort_axis], kind="stable")
-    values = dominance_counts(ps)[order] / ps.n
-    return Trace(points=ps.u[order], values=values, order=order)
+    _check_axis(sort_axis, ps.d)
+    u = ps.u[None]
+    order, values = _sorted_trace(u, np.argsort(u, axis=1, kind="stable"), sort_axis)
+    return Trace(points=ps.u[order[0]], values=values[0], order=order[0])
 
 
 def _trace_values(trace) -> np.ndarray:
     if isinstance(trace, Trace):
         return np.asarray(trace.values, dtype=float)
     return np.asarray(trace, dtype=float).ravel()
+
+
+def _runs(s: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Maximal monotone runs of each trace in a (T, n) stack, run by run
+    in trace order: (trace_id, start, end, rising, argmin, argmax), indices
+    within their trace as in DomainPartition."""
+    n = s.shape[1]
+    step = np.diff(s, axis=1)
+    # a step led up to index 0 in the direction of the first strict step,
+    # or up in a flat trace, so each trace opens a run of its own
+    first_step = np.take_along_axis(step, (step != 0).argmax(axis=1)[:, None], axis=1)
+    lead = np.where(first_step < 0, -1.0, 1.0)
+    steps = np.hstack([lead, step]).ravel()  # step j + 1 is s[j] -> s[j + 1]
+    strict = np.flatnonzero(steps)
+    up = steps[strict] > 0
+    trace_id, j = np.divmod(strict, n)
+    # position in `strict` of each run's first and last strict step
+    opens = j == 0
+    opens[1:] |= up[1:] != up[:-1]
+    first = np.flatnonzero(opens)
+    last = np.append(first[1:], strict.size) - 1
+    trace_id = trace_id[first]
+    start = np.maximum(j[first] - 1, 0)
+    ends_trace = np.append(trace_id[1:] != trace_id[:-1], True)
+    end = np.where(ends_trace, n - 1, np.append(start[1:], 0))
+    rising = up[first]
+    # a monotone run first attains one extreme at its start and the other
+    # one past its last strict step, where its closing plateau begins
+    late = j[last]
+    argmin = np.where(rising, start, late)
+    argmax = np.where(rising, late, start)
+    return trace_id, start, end, rising, argmin, argmax
 
 
 def partition_domains(trace) -> DomainPartition:
@@ -163,27 +213,9 @@ def partition_domains(trace) -> DomainPartition:
     Consecutive runs share their boundary index.
     """
     s = _trace_values(trace)
-    n = s.size
-    if n < 2:
+    if s.size < 2:
         raise InvalidInput("trace needs at least 2 points")
-
-    step = np.diff(s)
-    strict = np.flatnonzero(step)  # j with s[j + 1] != s[j]
-    up = step[strict] > 0
-    if strict.size == 0:
-        # a flat trace: one rising run, as if a step led up to index 0
-        strict, up = np.array([-1]), np.array([True])
-    # position in `strict` of each run's first and last strict step
-    first = np.flatnonzero(np.diff(up, prepend=~up[0]))
-    last = np.append(first[1:], strict.size) - 1
-    start = np.append(0, strict[first[1:]])
-    end = np.append(start[1:], n - 1)
-    rising = up[first]
-    # a monotone run first attains one extreme at its start and the other
-    # one past its last strict step, where its closing plateau begins
-    late = strict[last] + 1
-    argmin = np.where(rising, start, late)
-    argmax = np.where(rising, late, start)
+    _, start, end, rising, argmin, argmax = _runs(s[None])
     no_flags = np.zeros(start.size, dtype=bool)
     return DomainPartition(
         start=start,
@@ -196,6 +228,23 @@ def partition_domains(trace) -> DomainPartition:
         local_opt_min=no_flags,
         local_opt_max=no_flags,
     )
+
+
+def _optima(s, trace_id, end, n_points, rising, n) -> tuple[np.ndarray, np.ndarray]:
+    """(local_opt_min, local_opt_max) of runs given as `_runs` gives them
+    over a (T, len) stack of traces; see `detect_local_optima`."""
+    flat = s.ravel()
+    thr = (1.0 / n) * (1.0 + 1e-9)
+    j = trace_id[:-1] * s.shape[1] + end[:-1]
+    left, right = n_points[:-1], n_points[1:]
+    long_runs = (left > 4) & (right > 4)
+    small_steps = (np.abs(flat[j] - flat[j - 1]) <= thr) & (np.abs(flat[j + 1] - flat[j]) <= thr)
+    flagged = (long_runs | (small_steps & (left + right > 4))) & (trace_id[:-1] == trace_id[1:])
+    # rising into a boundary then falling out is a local maximum
+    peak = flagged & rising[:-1]
+    valley = flagged & ~rising[:-1]
+    return (np.append(valley, False) | np.append(False, valley),
+            np.append(peak, False) | np.append(False, peak))
 
 
 def detect_local_optima(trace, part: DomainPartition, n: int) -> DomainPartition:
@@ -221,25 +270,56 @@ def detect_local_optima(trace, part: DomainPartition, n: int) -> DomainPartition
     The flag is recorded on the extremum side of each adjacent run.
     """
     s = _trace_values(trace)
-    thr = (1.0 / n) * (1.0 + 1e-9)
-    j = part.end[:-1]
-    left, right = part.n_points[:-1], part.n_points[1:]
-    long_runs = (left > 4) & (right > 4)
-    small_steps = (np.abs(s[j] - s[j - 1]) <= thr) & (np.abs(s[j + 1] - s[j]) <= thr)
-    flagged = long_runs | (small_steps & (left + right > 4))
-    # rising into a boundary then falling out is a local maximum
-    peak = flagged & part.rising[:-1]
-    valley = flagged & ~part.rising[:-1]
-    return replace(
-        part,
-        local_opt_min=np.append(valley, False) | np.append(False, valley),
-        local_opt_max=np.append(peak, False) | np.append(False, peak),
-    )
+    one_trace = np.zeros(part.m, dtype=np.intp)
+    lo_min, lo_max = _optima(s[None], one_trace, part.end, part.n_points, part.rising, n)
+    return replace(part, local_opt_min=lo_min, local_opt_max=lo_max)
 
 
 def domain_gamma(lambda_min, lambda_max, flagged):
     """Score of each run: 1 at a flagged local optimum, else the mean lambda."""
     return np.where(flagged, 1.0, 0.5 * (lambda_min + lambda_max))[()]
+
+
+def _run_scores(c_min, c_max, p_min, p_max, flagged, n: int):
+    """(lambda_min, lambda_max, gamma) of runs with extreme copula values
+    c_min/c_max at points p_min/p_max, from n-point samples."""
+    tol = 1.0 / (2 * n)
+    lam_min = relative_distance(c_min, p_min, tol)
+    lam_max = relative_distance(c_max, p_max, tol)
+    return lam_min, lam_max, domain_gamma(lam_min, lam_max, flagged)
+
+
+def _weighted_means(trace_id, n_points, gamma, T: int, n: int) -> np.ndarray:
+    """The statistic of each trace of a T-trace stack, from its runs.
+
+    Each trace's sum of n_points * gamma is the last of a running sum in
+    run order, as a plain loop adds it, so values do not depend on T.
+    """
+    m = np.bincount(trace_id, minlength=T)
+    pos = np.arange(trace_id.size) - np.repeat(np.cumsum(m) - m, m)
+    weights = np.zeros((T, m.max()))
+    weights[trace_id, pos] = n_points * gamma
+    total = np.cumsum(weights, axis=1)[np.arange(T), m - 1]
+    return total / (n + m - 1)
+
+
+def _cos_batch(x, sort_axis: int = 0) -> np.ndarray:
+    """copula_statistic(x[t], sort_axis).cos for every sample of a
+    (T, n, d) stack, computed in array passes over the whole stack."""
+    x = _observations(x, ("T", "n", "d"))
+    T, n, d = x.shape
+    _check_axis(sort_axis, d)
+    u, order = _ranked(x)
+    by_axis, s = _sorted_trace(u, order, sort_axis)
+    trace_id, start, end, rising, argmin, argmax = _runs(s)
+    n_points = end - start + 1
+    lo_min, lo_max = _optima(s, trace_id, end, n_points, rising, n)
+    values, points = s.ravel(), u.reshape(-1, d)
+    rows = (by_axis + n * np.arange(T)[:, None]).ravel()  # of `points`, in trace order
+    at_min, at_max = trace_id * n + argmin, trace_id * n + argmax
+    _, _, gamma = _run_scores(values[at_min], values[at_max], points[rows[at_min]],
+                              points[rows[at_max]], lo_min | lo_max, n)
+    return _weighted_means(trace_id, n_points, gamma, T, n)
 
 
 def copula_statistic(sample, sort_axis: int = 0) -> CosReport:
@@ -255,15 +335,12 @@ def copula_statistic(sample, sort_axis: int = 0) -> CosReport:
     n = ps.n
     trace = copula_trace(ps, sort_axis=sort_axis)
     part = detect_local_optima(trace, partition_domains(trace), n)
-
-    tol = 1.0 / (2 * n)
-    lam_min = relative_distance(part.c_min, trace.points[part.argmin], tol)
-    lam_max = relative_distance(part.c_max, trace.points[part.argmax], tol)
-    gamma = domain_gamma(lam_min, lam_max, part.local_opt_min | part.local_opt_max)
-    m = part.m
-    # cumsum adds in run order, so the total is that of a running sum
-    cos = float(np.cumsum(part.n_points * gamma)[-1] / (n + m - 1))
+    lam_min, lam_max, gamma = _run_scores(
+        part.c_min, part.c_max, trace.points[part.argmin], trace.points[part.argmax],
+        part.local_opt_min | part.local_opt_max, n)
+    cos = _weighted_means(np.zeros(part.m, dtype=np.intp), part.n_points, gamma, 1, n)
     columns = (part.start, part.end, part.direction, part.n_points, lam_min,
                lam_max, gamma, part.local_opt_min, part.local_opt_max)
     records = tuple(map(DomainRecord, *(c.tolist() for c in columns)))
-    return CosReport(cos=cos, n=n, d=ps.d, m=m, sort_axis=sort_axis, domains=records)
+    return CosReport(cos=float(cos[0]), n=n, d=ps.d, m=part.m, sort_axis=sort_axis,
+                     domains=records)

@@ -7,6 +7,8 @@ through a Box-Muller transform that produce structured point patterns.
 Randomness comes from numpy's Philox counter-based generator.  Independent
 sub-streams are derived from a root seed plus a label path, so parallel
 trials reproduce bit-identically regardless of scheduling order.
+`mc_values` runs Monte Carlo trials this way, one stream per trial, and
+scores them in blocks.
 """
 
 from __future__ import annotations
@@ -81,6 +83,14 @@ def _label_entropy(label) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def _label_path(seed: int, labels) -> list[int]:
+    return [int(seed)] + [_label_entropy(l) for l in labels]
+
+
+def _philox(entropy: list[int]) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+
+
 def derive_rng(seed: int, *labels) -> np.random.Generator:
     """Independent Philox stream for (seed, label path).
 
@@ -88,8 +98,34 @@ def derive_rng(seed: int, *labels) -> np.random.Generator:
     paths give statistically independent streams, so concurrent trials can
     each derive their own.
     """
-    entropy = [int(seed)] + [_label_entropy(l) for l in labels]
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+    return _philox(_label_path(seed, labels))
+
+
+#: Sample cells (trials x n x d) per block that mc_values hands to its
+#: scorer: 32 trials at n = 200, d = 2.  Bounds the block's working memory.
+_BLOCK_CELLS = 12_800
+
+
+def mc_values(seed: int, labels, trials: int, draw, score) -> np.ndarray:
+    """Values of `trials` Monte Carlo trials, shape (trials,).
+
+    Trial t draws one (n, d) sample array with `draw(rng)` from the stream
+    derive_rng(seed, *labels, t).  Samples are stacked in trial order into
+    blocks of at most _BLOCK_CELLS cells (at least one sample), and
+    `score` maps each (T, n, d) block to its T values, so every value
+    depends only on its own trial's stream.
+    """
+    if trials < 1:
+        raise InvalidParam(f"need at least 1 trial, got {trials}")
+    path = _label_path(seed, labels)
+    values = np.empty(trials)
+    block = []
+    for t in range(trials):
+        block.append(draw(_philox(path + [t])))
+        if (len(block) + 1) * block[0].size > _BLOCK_CELLS or t == trials - 1:
+            values[t + 1 - len(block):t + 1] = score(np.stack(block))
+            block = []
+    return values
 
 
 def sample_gaussian_copula(rho: float, n: int, rng: np.random.Generator) -> Sample:

@@ -2,11 +2,27 @@
 
 These deliberately avoid the library's vectorized code paths: plain loops
 and direct definitions only, so they stay independent of what they check.
+The Monte Carlo oracles at the end loop over trials and score each one
+with the single-sample `copula_statistic`, one stream per trial, as the
+pipelines did before they scored trials in blocks.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
+
+from copstat import (
+    DependencySpec,
+    compute_metric,
+    copula_statistic,
+    derive_rng,
+    gen_dependency,
+    test_independence,
+)
+from copstat.experiments import SIGNED_METRICS, _source_sampler
+from copstat.independence import sample_copula
 
 
 def naive_ranks(column):
@@ -143,3 +159,69 @@ def kendall_tau_pairs(xs, ys):
 def gaussian_copula_at_half(rho):
     """Closed form C(1/2, 1/2) = 1/4 + arcsin(rho) / (2 pi)."""
     return 0.25 + math.asin(rho) / (2.0 * math.pi)
+
+
+def loop_null_moments(n, trials, seed):
+    vals = np.array([copula_statistic(derive_rng(seed, "null", n, t).random((n, 2))).cos
+                     for t in range(trials)])
+    return float(vals.mean()), float(vals.std(ddof=1))
+
+
+def loop_type2_error(family, param, n, trials, seed, alpha=0.01):
+    accepted = 0
+    for t in range(trials):
+        sample = sample_copula(family, param, n, derive_rng(seed, "type2", family, n, t))
+        if not test_independence(sample, alpha=alpha).dependent:
+            accepted += 1
+    return accepted / trials
+
+
+def loop_bias_table(sources, n_grid, trials, seed):
+    """(source, n, mu, sigma) per generator and sample size."""
+    rows = []
+    for source in sources:
+        sampler = _source_sampler(source)
+        for n in n_grid:
+            vals = np.array([copula_statistic(sampler(n, derive_rng(seed, "bias", source, n, t))).cos
+                             for t in range(trials)])
+            rows.append((source, n, float(vals.mean()), float(vals.std(ddof=1))))
+    return rows
+
+
+def loop_equitability_means(fn_ids, r2_grid, n, reps, seed):
+    """Mean statistic per test function at each R^2 of the sorted grid."""
+    curves = {}
+    for fid in fn_ids:
+        means = []
+        for ri, r2 in enumerate(sorted(r2_grid)):
+            spec = DependencySpec(kind="testfn", fn_id=fid, noise_mode="r2_additive", r2=r2)
+            vals = np.array([
+                copula_statistic(gen_dependency(spec, n, derive_rng(seed, "equit", fid, ri, t))).cos
+                for t in range(reps)
+            ])
+            means.append(float(vals.mean()))
+        curves[fid] = tuple(means)
+    return curves
+
+
+def loop_power(kind, metric, trials, n, alpha, p_grid, seed):
+    """Power per noise level, as in run_power, for a dependency kind."""
+
+    def value(sample):
+        v = compute_metric(metric, sample)
+        return abs(v) if metric in SIGNED_METRICS else v
+
+    powers = []
+    for p in p_grid:
+        spec = DependencySpec(kind=kind, p=p, noise_mode="additive")
+        null = np.array([
+            value(gen_dependency(spec, n, derive_rng(seed, "power", kind, "h0", t), independent=True))
+            for t in range(trials)
+        ])
+        cutoff = float(np.quantile(null, 1.0 - alpha))
+        hits = 0
+        for t in range(trials):
+            if value(gen_dependency(spec, n, derive_rng(seed, "power", kind, "h1", t))) > cutoff:
+                hits += 1
+        powers.append(hits / trials)
+    return tuple(powers)

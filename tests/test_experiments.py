@@ -17,6 +17,8 @@ from copstat import (
     score_network,
 )
 
+from oracles import loop_bias_table, loop_equitability_means, loop_power
+
 
 class TestRunPower:
     def test_validation(self):
@@ -43,6 +45,12 @@ class TestRunPower:
     def test_values_in_unit_interval(self):
         curve = run_power("quadratic", "spearman", 100, 100, 0.05, [0.1, 1.0], seed=4)
         assert all(0.0 <= p <= 1.0 for p in curve.power)
+
+    @pytest.mark.parametrize("metric", ["cos", "spearman"])
+    def test_matches_trial_loop(self, metric):
+        # 130 trials at n = 100: blocks of 64, 64 and 2 samples
+        args = ("circular", metric, 130, 100, 0.05, (0.0, 0.5, 2.0), 11)
+        assert run_power(*args).power == loop_power(*args)
 
     def test_accepts_dependency_spec(self):
         spec = DependencySpec(kind="sinusoidal", freq=4.0)
@@ -73,6 +81,15 @@ class TestRunEquitability:
         res = run_equitability([1, 2, 4], [0.2, 0.6, 1.0], n=300, reps=8, seed=4)
         assert 0.0 <= res.average_interval <= res.worst_interval <= 1.0
 
+    def test_reps_validation(self):
+        with pytest.raises(InvalidParam):
+            run_equitability([1], [0.5], n=100, reps=0)
+
+    def test_matches_trial_loop(self):
+        # 70 reps at n = 150: blocks of 42 and 28 samples
+        res = run_equitability([1, 4], [1.0, 0.3], n=150, reps=70, seed=12)
+        assert res.mean_cos == loop_equitability_means([1, 4], [1.0, 0.3], 150, 70, 12)
+
     def test_reproducible(self):
         a = run_equitability([1], [0.5], n=200, reps=5, seed=5)
         b = run_equitability([1], [0.5], n=200, reps=5, seed=5)
@@ -99,6 +116,13 @@ class TestRunBiasTable:
         rows = run_bias_table(["sin:1"], [60], trials=500, seed=8)
         assert rows[0].mu == 1.0
         assert rows[0].sigma == 0.0
+
+    def test_matches_trial_loop(self):
+        # 500 trials at n = 60: blocks of 106 samples and a last one of 76
+        sources = ["indep", "gumbel:1.26", "sin:3"]
+        rows = run_bias_table(sources, [60], trials=500, seed=13)
+        assert [(r.source, r.n, r.mu, r.sigma) for r in rows] == loop_bias_table(
+            sources, [60], 500, 13)
 
     def test_layout(self):
         rows = run_bias_table(["indep", "sin:1"], [60, 80], trials=500, seed=9)

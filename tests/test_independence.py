@@ -20,6 +20,8 @@ from copstat import (
 from copstat import test_independence as run_test  # alias: pytest must not collect it
 from copstat.independence import sample_copula
 
+from oracles import loop_null_moments, loop_type2_error
+
 
 class TestCalibrationCurve:
     def test_validation(self):
@@ -54,6 +56,17 @@ class TestCalibrationCurve:
     def test_published_constants(self):
         assert PUBLISHED_NULL_CURVE.mu_model == (8.05, -0.74)
         assert PUBLISHED_NULL_CURVE.sigma_model == (2.99, -0.81)
+
+
+class TestNullMoments:
+    def test_matches_trial_loop(self):
+        # 300 trials at n = 100: blocks of 64 and a last one of 44
+        assert null_moments(100, 300, 14) == loop_null_moments(100, 300, 14)
+
+    @pytest.mark.parametrize("trials", [0, 1])
+    def test_needs_two_trials(self, trials):
+        with pytest.raises(InvalidParam):
+            null_moments(100, trials, 0)
 
 
 class TestCalibrateNull:
@@ -136,6 +149,16 @@ class TestType2Error:
     def test_unknown_family(self):
         with pytest.raises(InvalidParam):
             sample_copula("frank", 2.0, 10, derive_rng(0))
+
+    def test_needs_a_trial(self):
+        with pytest.raises(InvalidParam):
+            type2_error("gauss", 0.3, 100, trials=0)
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.3])
+    def test_matches_trial_loop(self, alpha):
+        # 150 trials at n = 90: blocks of 71 and a last one of 8
+        assert type2_error("clayton", 0.51, 90, 150, alpha=alpha, seed=15) == loop_type2_error(
+            "clayton", 0.51, 90, 150, 15, alpha)
 
     def test_strong_dependence_always_detected(self):
         err = type2_error("gauss", 0.5, 500, trials=60, seed=5)

@@ -4,9 +4,12 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from copstat import (
     BoundsViolated,
+    DegenerateMarginal,
     InvalidInput,
     Sample,
     copula_statistic,
@@ -16,7 +19,8 @@ from copstat import (
     partition_domains,
     pseudo_observations,
 )
-from copstat.statistic import NON_DECREASING, NON_INCREASING
+from copstat import copula_core
+from copstat.statistic import NON_DECREASING, NON_INCREASING, _cos_batch
 
 from oracles import naive_cos_report
 
@@ -284,3 +288,67 @@ class TestCopulaStatistic:
         rep2 = copula_statistic(Sample(data), sort_axis=2)
         assert rep0.sort_axis == 0 and rep2.sort_axis == 2
         assert 0.0 <= rep2.cos <= 1.0
+
+
+def _stack(kind, T, n, d, rng):
+    if kind == "random":
+        return rng.random((T, n, d))
+    if kind == "tied":
+        x = rng.integers(0, 5, size=(T, n, d)).astype(float)
+        x[:, :2] = ((0,), (1,))  # no constant column
+        return x
+    z = rng.normal(size=(T, n, 1))
+    sign = 1 if kind == "monotone" else -1  # countermonotonic: a flat trace, one run
+    return np.concatenate([z] + [sign**k * np.exp(k * z) for k in range(1, d)], axis=2)
+
+
+def _loop_cos(x, sort_axis):
+    return [copula_statistic(Sample(sample), sort_axis=sort_axis).cos.hex() for sample in x]
+
+
+class TestCosBatch:
+    @pytest.mark.parametrize("words", [1, 7, None])
+    @pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 200])
+    def test_matches_copula_statistic(self, monkeypatch, n, words):
+        rng = np.random.default_rng(n)
+        cases = []
+        for kind in ("random", "tied", "monotone", "countermonotonic"):
+            for d in (2, 3, 4, 5):
+                x = _stack(kind, 5, n, d, rng)
+                cases += [(x, axis, _loop_cos(x, axis)) for axis in range(d)]
+        if words is not None:
+            # several word tiles and sample blocks per prefix table
+            monkeypatch.setattr(copula_core, "_PREFIX_TABLE_WORDS", words)
+        for x, axis, want in cases:
+            assert [c.hex() for c in _cos_batch(x, axis)] == want, (x.shape, axis)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 4), st.integers(2, 30), st.integers(2, 4), st.integers(2, 5),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_copula_statistic_on_tied_grids(self, T, n, d, levels, seed):
+        x = np.random.default_rng(seed).integers(0, levels, size=(T, n, d)).astype(float)
+        x[:, :2] = ((0,), (1,))
+        for axis in range(d):
+            assert [c.hex() for c in _cos_batch(x, axis)] == _loop_cos(x, axis)
+
+    def test_one_bad_sample_raises_as_the_loop_does(self):
+        x = np.random.default_rng(16).random((4, 30, 3))
+        bad = [(DegenerateMarginal, 1.0), (InvalidInput, np.nan), (InvalidInput, np.inf)]
+        for error, value in bad:
+            y = x.copy()
+            y[2, :, 1] = 1.0
+            y[2, 5, 1] = value
+            with pytest.raises(error):
+                copula_statistic(y[2])
+            with pytest.raises(error):
+                _cos_batch(y)
+
+    def test_rejects_other_shapes_and_axes(self):
+        x = np.random.default_rng(17).random((3, 20, 2))
+        for bad in (x[0], x[None], x[:, :1], x[:, :, :1]):
+            with pytest.raises(InvalidInput):
+                _cos_batch(bad)
+        with pytest.raises(InvalidInput):
+            _cos_batch(x, sort_axis=2)

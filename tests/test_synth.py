@@ -20,6 +20,8 @@ from copstat import (
     sample_gumbel_copula,
     spearman,
 )
+from copstat import synth
+from copstat.synth import mc_values
 
 from oracles import gaussian_copula_at_half
 
@@ -36,6 +38,34 @@ class TestDeriveRng:
         c = derive_rng(7, "y", 3).random(5)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+class TestMcValues:
+    def test_trial_streams_are_derive_rng(self):
+        labels = ("x", 3, "y")
+        vals = mc_values(7, labels, 9, lambda rng: rng.random((2, 2)), lambda b: b[:, 0, 0])
+        want = [derive_rng(7, *labels, t).random((2, 2))[0, 0] for t in range(9)]
+        assert vals.tolist() == want
+
+    @pytest.mark.parametrize("cells, sizes", [(1, [1] * 9), (8, [2, 2, 2, 2, 1]),
+                                              (None, [9])])
+    def test_blocks_stay_within_the_cell_budget(self, monkeypatch, cells, sizes):
+        if cells is not None:
+            monkeypatch.setattr(synth, "_BLOCK_CELLS", cells)
+        seen = []
+
+        def score(block):
+            seen.append(block.shape[0])
+            return block[:, 1, 0]
+
+        vals = mc_values(3, ("b",), 9, lambda rng: rng.random((2, 2)), score)
+        assert seen == sizes
+        assert vals.tolist() == [derive_rng(3, "b", t).random((2, 2))[1, 0] for t in range(9)]
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_needs_a_trial(self, trials):
+        with pytest.raises(InvalidParam):
+            mc_values(0, (), trials, lambda rng: rng.random((2, 2)), lambda b: b[:, 0, 0])
 
 
 class TestGaussianCopula:
