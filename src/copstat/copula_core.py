@@ -244,12 +244,10 @@ def _dominance_counts(u: np.ndarray, order: np.ndarray) -> np.ndarray:
     ranked = np.take_along_axis(u, order, axis=1)
     is_last = np.ones(ranked.shape, dtype=bool)
     is_last[:, :-1] = ranked[:, 1:] != ranked[:, :-1]
-    row = rank  # last sorted position of its value, per column
-    if not is_last.all():  # ties; ordinal-rank pseudo-observations have none
-        last = np.where(is_last, point[:, None], n)[:, ::-1]
-        last = np.minimum.accumulate(last, axis=1)[:, ::-1]
-        row = np.empty_like(order)
-        np.put_along_axis(row, order, last, axis=1)
+    last = np.where(is_last, point[:, None], n)[:, ::-1]
+    last = np.minimum.accumulate(last, axis=1)[:, ::-1]
+    row = np.empty_like(order)  # last sorted position of its value, per column
+    np.put_along_axis(row, order, last, axis=1)
     bit = np.left_shift(np.uint64(1), (point % 64).astype(np.uint64))
     words = -(-n // 64)
     tile = max(1, min(words, _PREFIX_TABLE_WORDS // n))

@@ -140,11 +140,6 @@ class CosReport:
     domains: tuple[DomainRecord, ...]
 
 
-def _check_axis(sort_axis: int, d: int) -> None:
-    if not 0 <= sort_axis < d:
-        raise InvalidInput(f"sort_axis {sort_axis} out of range for d={d}")
-
-
 def _sorted_trace(u, order, sort_axis: int) -> tuple[np.ndarray, np.ndarray]:
     """Trace order and values, both (T, n), of each sample of a (T, n, d)
     stack of pseudo-observations with stable sorting order `order`."""
@@ -161,7 +156,8 @@ def copula_trace(ps: PseudoSample, sort_axis: int = 0) -> Trace:
     pseudo-coordinate vector, its exact dominance count from
     `dominance_counts` divided by n.
     """
-    _check_axis(sort_axis, ps.d)
+    if not 0 <= sort_axis < ps.d:
+        raise InvalidInput(f"sort_axis {sort_axis} out of range for d={ps.d}")
     u = ps.u[None]
     order, values = _sorted_trace(u, np.argsort(u, axis=1, kind="stable"), sort_axis)
     return Trace(points=ps.u[order[0]], values=values[0], order=order[0])
@@ -179,10 +175,11 @@ def _runs(s: np.ndarray) -> tuple[np.ndarray, ...]:
     within their trace as in DomainPartition."""
     n = s.shape[1]
     step = np.diff(s, axis=1)
-    # a step led up to index 0 in the direction of the first strict step,
-    # or up in a flat trace, so each trace opens a run of its own
+    # a step led to index 0 in the direction of the first non-zero step
+    # (up in a flat trace; down for NaN, as `up` below counts it), so each
+    # trace opens a run of its own
     first_step = np.take_along_axis(step, (step != 0).argmax(axis=1)[:, None], axis=1)
-    lead = np.where(first_step < 0, -1.0, 1.0)
+    lead = np.where(first_step >= 0, 1.0, -1.0)
     steps = np.hstack([lead, step]).ravel()  # step j + 1 is s[j] -> s[j + 1]
     strict = np.flatnonzero(steps)
     up = steps[strict] > 0
@@ -303,14 +300,13 @@ def _weighted_means(trace_id, n_points, gamma, T: int, n: int) -> np.ndarray:
     return total / (n + m - 1)
 
 
-def _cos_batch(x, sort_axis: int = 0) -> np.ndarray:
-    """copula_statistic(x[t], sort_axis).cos for every sample of a
-    (T, n, d) stack, computed in array passes over the whole stack."""
+def _cos_batch(x) -> np.ndarray:
+    """copula_statistic(x[t]).cos for every sample of a (T, n, d) stack,
+    computed in array passes over the whole stack."""
     x = _observations(x, ("T", "n", "d"))
     T, n, d = x.shape
-    _check_axis(sort_axis, d)
     u, order = _ranked(x)
-    by_axis, s = _sorted_trace(u, order, sort_axis)
+    by_axis, s = _sorted_trace(u, order, 0)
     trace_id, start, end, rising, argmin, argmax = _runs(s)
     n_points = end - start + 1
     lo_min, lo_max = _optima(s, trace_id, end, n_points, rising, n)

@@ -112,6 +112,16 @@ class TestPartitionDomains:
         with pytest.raises(InvalidInput):
             partition_domains(make_trace([1.0]))
 
+    def test_nan_step_counts_as_falling(self):
+        # NaN > 0 is False: a NaN step falls, and leads no rising run
+        part = partition_domains(np.array([0.0, np.nan, 1.0]))
+        assert part.m == 1
+        assert (part.runs[0].start, part.runs[0].end) == (0, 2)
+        assert part.runs[0].direction == NON_INCREASING
+        part = partition_domains(np.array([0.0, 0.0, np.nan, 1.0, 2.0]))
+        assert [(r.start, r.end, r.direction) for r in part.runs] == [
+            (0, 3, NON_INCREASING), (3, 4, NON_DECREASING)]
+
 
 class TestDetectLocalOptima:
     def test_big_jump_not_flagged(self):
@@ -302,8 +312,8 @@ def _stack(kind, T, n, d, rng):
     return np.concatenate([z] + [sign**k * np.exp(k * z) for k in range(1, d)], axis=2)
 
 
-def _loop_cos(x, sort_axis):
-    return [copula_statistic(Sample(sample), sort_axis=sort_axis).cos.hex() for sample in x]
+def _loop_cos(x):
+    return [copula_statistic(Sample(sample)).cos.hex() for sample in x]
 
 
 class TestCosBatch:
@@ -315,12 +325,12 @@ class TestCosBatch:
         for kind in ("random", "tied", "monotone", "countermonotonic"):
             for d in (2, 3, 4, 5):
                 x = _stack(kind, 5, n, d, rng)
-                cases += [(x, axis, _loop_cos(x, axis)) for axis in range(d)]
+                cases.append((x, _loop_cos(x)))
         if words is not None:
             # several word tiles and sample blocks per prefix table
             monkeypatch.setattr(copula_core, "_PREFIX_TABLE_WORDS", words)
-        for x, axis, want in cases:
-            assert [c.hex() for c in _cos_batch(x, axis)] == want, (x.shape, axis)
+        for x, want in cases:
+            assert [c.hex() for c in _cos_batch(x)] == want, x.shape
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -330,8 +340,7 @@ class TestCosBatch:
     def test_matches_copula_statistic_on_tied_grids(self, T, n, d, levels, seed):
         x = np.random.default_rng(seed).integers(0, levels, size=(T, n, d)).astype(float)
         x[:, :2] = ((0,), (1,))
-        for axis in range(d):
-            assert [c.hex() for c in _cos_batch(x, axis)] == _loop_cos(x, axis)
+        assert [c.hex() for c in _cos_batch(x)] == _loop_cos(x)
 
     def test_one_bad_sample_raises_as_the_loop_does(self):
         x = np.random.default_rng(16).random((4, 30, 3))
@@ -345,10 +354,8 @@ class TestCosBatch:
             with pytest.raises(error):
                 _cos_batch(y)
 
-    def test_rejects_other_shapes_and_axes(self):
+    def test_rejects_other_shapes(self):
         x = np.random.default_rng(17).random((3, 20, 2))
         for bad in (x[0], x[None], x[:, :1], x[:, :, :1]):
             with pytest.raises(InvalidInput):
                 _cos_batch(bad)
-        with pytest.raises(InvalidInput):
-            _cos_batch(x, sort_axis=2)
