@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .independence import (
     calibrate_null,
     test_independence,
 )
-from .statistic import copula_statistic
+from .statistic import DomainRecord, copula_statistic
 from .synth import DependencySpec, derive_rng, gen_dependency, gen_ripley
 
 FLOAT_FMT = "%.17g"
@@ -50,27 +50,34 @@ def read_csv(path):
         except StopIteration:
             raise CopstatError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        width = len(header)
         rows = []
         dropped = 0
         for lineno, row in enumerate(reader, start=2):
+            if len(row) == width:
+                # float() rejects blank cells, so a row that parses whole
+                # is one the checks below would keep as it is
+                try:
+                    rows.append(list(map(float, row)))
+                    continue
+                except ValueError:
+                    pass
             if not row or all(not c.strip() for c in row):
                 continue
-            if len(row) != len(header):
+            if len(row) != width:
                 raise CopstatError(
-                    f"{path}: row {lineno} has {len(row)} cells, header has {len(header)}"
+                    f"{path}: row {lineno} has {len(row)} cells, header has {width}"
                 )
             if any(not c.strip() for c in row):
                 dropped += 1
                 continue
-            parsed = []
             for col, cell in zip(header, row):
                 try:
-                    parsed.append(float(cell))
+                    float(cell)
                 except ValueError:
                     raise CopstatError(
                         f"{path}: row {lineno}, column {col!r}: cannot parse {cell.strip()!r}"
                     ) from None
-            rows.append(parsed)
     if dropped:
         print(f"warning: dropped {dropped} row(s) with missing values", file=sys.stderr)
     if not rows:
@@ -111,7 +118,9 @@ def write_csv(path, header, rows):
 
 
 def emit_json(path, payload):
-    text = json.dumps(payload, indent=2, default=_jsonable) + "\n"
+    """Write `payload` as one line of compact JSON."""
+    # no indent: json only uses its C encoder when indent is None
+    text = json.dumps(payload, separators=(",", ":"), default=_jsonable) + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -136,6 +145,7 @@ def cmd_cos(args) -> int:
     if data.shape[1] < 2:
         raise CopstatError("need at least 2 selected columns")
     report = copula_statistic(Sample(data), sort_axis=args.sort_axis)
+    names = [f.name for f in fields(DomainRecord)]
     payload = {
         "cos": report.cos,
         "n": report.n,
@@ -143,8 +153,7 @@ def cmd_cos(args) -> int:
         "m": report.m,
         "sort_axis": report.sort_axis,
         "columns": header,
-        # records hold only scalars, so a shallow copy equals asdict's deep one
-        "domains": [dict(vars(rec)) for rec in report.domains],
+        "domains": [dict(zip(names, run)) for run in zip(*report.domain_columns())],
     }
     emit_json(args.out, payload)
     return 0

@@ -18,7 +18,7 @@ blocks of trials through `_cos_batch`, with bit-identical values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +36,10 @@ from .errors import InvalidInput
 
 NON_DECREASING = "non-decreasing"
 NON_INCREASING = "non-increasing"
+
+
+def _directions(rising: np.ndarray) -> np.ndarray:
+    return np.where(rising, NON_DECREASING, NON_INCREASING)
 
 
 class Trace(NamedTuple):
@@ -103,7 +107,7 @@ class DomainPartition:
 
     @property
     def direction(self) -> np.ndarray:
-        return np.where(self.rising, NON_DECREASING, NON_INCREASING)
+        return _directions(self.rising)
 
     @property
     def runs(self) -> tuple[DomainRun, ...]:
@@ -128,16 +132,54 @@ class DomainRecord:
     local_opt_max: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CosReport:
-    """Copula statistic plus the per-domain breakdown that produced it."""
+    """Copula statistic plus the per-run arrays that produced it.
+
+    The arrays hold one entry per run, in trace order, with fields as in
+    DomainRecord; `rising` is True for a non-decreasing run.  `domains`
+    builds the DomainRecord tuple from them on each access.  Reports
+    compare equal when every field and every array entry is equal.
+    """
 
     cos: float
     n: int
     d: int
-    m: int
     sort_axis: int
-    domains: tuple[DomainRecord, ...]
+    start: np.ndarray
+    end: np.ndarray
+    rising: np.ndarray
+    lambda_min: np.ndarray
+    lambda_max: np.ndarray
+    gamma: np.ndarray
+    local_opt_min: np.ndarray
+    local_opt_max: np.ndarray
+
+    @property
+    def m(self) -> int:
+        return self.start.size
+
+    @property
+    def n_points(self) -> np.ndarray:
+        return self.end - self.start + 1
+
+    def domain_columns(self) -> tuple[list, ...]:
+        """The runs' DomainRecord fields, in field order, one list each."""
+        columns = (self.start, self.end, _directions(self.rising), self.n_points,
+                   self.lambda_min, self.lambda_max, self.gamma, self.local_opt_min,
+                   self.local_opt_max)
+        return tuple(c.tolist() for c in columns)
+
+    @property
+    def domains(self) -> tuple[DomainRecord, ...]:
+        """The runs as DomainRecord records, built on each access."""
+        return tuple(map(DomainRecord, *self.domain_columns()))
+
+    def __eq__(self, other):
+        if not isinstance(other, CosReport):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
 
 def _sorted_trace(u, order, sort_axis: int) -> tuple[np.ndarray, np.ndarray]:
@@ -325,6 +367,8 @@ def copula_statistic(sample, sort_axis: int = 0) -> CosReport:
     O(d n^2 / 64) word operations, as the trace counts every point's
     dominated points with 64-point bitsets in tables of O(n) words; scoring
     the runs is O(n) array work.  The result is deterministic in the input.
+    The report keeps the runs as arrays; reading `report.domains` builds
+    their DomainRecords, which no part of the statistic needs.
     """
     sample = as_sample(sample)
     ps = pseudo_observations(sample)
@@ -335,8 +379,7 @@ def copula_statistic(sample, sort_axis: int = 0) -> CosReport:
         part.c_min, part.c_max, trace.points[part.argmin], trace.points[part.argmax],
         part.local_opt_min | part.local_opt_max, n)
     cos = _weighted_means(np.zeros(part.m, dtype=np.intp), part.n_points, gamma, 1, n)
-    columns = (part.start, part.end, part.direction, part.n_points, lam_min,
-               lam_max, gamma, part.local_opt_min, part.local_opt_max)
-    records = tuple(map(DomainRecord, *(c.tolist() for c in columns)))
-    return CosReport(cos=float(cos[0]), n=n, d=ps.d, m=part.m, sort_axis=sort_axis,
-                     domains=records)
+    return CosReport(
+        cos=float(cos[0]), n=n, d=ps.d, sort_axis=sort_axis, start=part.start,
+        end=part.end, rising=part.rising, lambda_min=lam_min, lambda_max=lam_max,
+        gamma=gamma, local_opt_min=part.local_opt_min, local_opt_max=part.local_opt_max)

@@ -6,8 +6,8 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from copstat import CalibrationCurve, copula_statistic, run_power
-from copstat.cli import main
+from copstat import CalibrationCurve, CopstatError, copula_statistic, run_power
+from copstat.cli import main, read_csv
 
 
 def write(path, text):
@@ -68,6 +68,20 @@ class TestCos:
         assert report.m > 10
         assert doc["domains"] == [asdict(r) for r in report.domains]
 
+    def test_writes_one_line_of_json(self, tmp_path, capsys):
+        rng = np.random.default_rng(12)
+        data = rng.random((200, 2))
+        path = tmp_path / "u.csv"
+        np.savetxt(path, data, fmt="%.17g", delimiter=",", header="a,b", comments="")
+        assert main(["cos", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("\n") and out.count("\n") == 1
+        report = copula_statistic(data)
+        assert json.loads(out) == {
+            "cos": report.cos, "n": 200, "d": 2, "m": report.m, "sort_axis": 0,
+            "columns": ["a", "b"], "domains": [asdict(r) for r in report.domains],
+        }
+
     def test_format_option_rejected(self, comono_csv, capsys):
         # cos writes JSON only, so asking for CSV is a usage error
         with pytest.raises(SystemExit) as exc:
@@ -81,6 +95,45 @@ class TestCos:
         path = write(tmp_path / "3c.csv", "\n".join(rows) + "\n")
         assert main(["cos", path, "--sort-axis", "2"]) == 0
         assert json.loads(capsys.readouterr().out)["sort_axis"] == 2
+
+
+class TestReadCsv:
+    def test_blank_and_whitespace_lines_skipped_silently(self, tmp_path, capsys):
+        path = write(tmp_path / "b.csv", "x,y\n1,2\n\n   \n , \n3,4\n")
+        header, data = read_csv(path)
+        assert header == ["x", "y"]
+        assert data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert capsys.readouterr().err == ""
+
+    def test_wrong_width_row_raises_unless_blank(self, tmp_path):
+        path = write(tmp_path / "w.csv", "x,y\n1,2\n , , \n3,4\n")
+        assert read_csv(path)[1].tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        path = write(tmp_path / "w.csv", "x,y\n1,2\n3\n")
+        with pytest.raises(CopstatError, match="row 3 has 1 cells, header has 2"):
+            read_csv(path)
+        path = write(tmp_path / "w.csv", "x,y\n1,2\n3,4,\n")
+        with pytest.raises(CopstatError, match="row 3 has 3 cells, header has 2"):
+            read_csv(path)
+
+    def test_rows_with_blank_cells_dropped_and_counted(self, tmp_path, capsys):
+        # a blank cell drops its row even when another cell is not a number
+        path = write(tmp_path / "d.csv", "x,y,z\n1,,3\n2, \t,3\n,zap,3\n4,5,6\n")
+        assert read_csv(path)[1].tolist() == [[4.0, 5.0, 6.0]]
+        assert "dropped 3 row(s) with missing values" in capsys.readouterr().err
+
+    def test_non_numeric_cell_names_row_and_column(self, tmp_path):
+        path = write(tmp_path / "n.csv", "x,y\n1,2\n3, zap \n")
+        with pytest.raises(CopstatError, match=r"row 3, column 'y': cannot parse 'zap'"):
+            read_csv(path)
+
+    def test_cells_parse_as_float_does(self, tmp_path):
+        cells = [["nan", "inf"], ["-Infinity", "1_000"], [" 2.5 ", "1e-3"], ["+7", "0x1p3"]]
+        text = "x,y\n" + "".join(",".join(row) + "\n" for row in cells[:3])
+        _, data = read_csv(write(tmp_path / "f.csv", text))
+        want = np.array([[float(c) for c in row] for row in cells[:3]])
+        assert np.array_equal(data, want, equal_nan=True)
+        with pytest.raises(CopstatError, match="cannot parse '0x1p3'"):
+            read_csv(write(tmp_path / "g.csv", "x,y\n" + ",".join(cells[3]) + "\n"))
 
 
 class TestReturns:
@@ -131,7 +184,6 @@ class TestGen:
     def test_round_trip_preserves_values_bitwise(self, tmp_path):
         # 17 significant digits round-trip doubles exactly, so ranks survive
         from copstat import DependencySpec, derive_rng, gen_dependency
-        from copstat.cli import read_csv
 
         path = str(tmp_path / "rt.csv")
         assert main(["gen", "--kind", "cosine", "--p", "0.7",

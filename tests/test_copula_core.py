@@ -209,6 +209,16 @@ class TestEnvelopes:
         assert product_copula([1.0, 0.37]) == pytest.approx(0.37)
         assert product_copula([0.5, 0.5, 0.5]) == pytest.approx(0.125)
 
+    def test_batched_points_match_a_loop_over_coordinates(self):
+        rng = np.random.default_rng(18)
+        for d in range(1, 11):
+            # the second half lies near (1, ..., 1), where W(u) > 0
+            pts = np.vstack([rng.random((50, d)), 1.0 - rng.random((50, d)) / d])
+            rows = pts.tolist()
+            assert frechet_upper(pts).tolist() == [min(r) for r in rows]
+            assert frechet_lower(pts).tolist() == [max(sum(r) + 1.0 - d, 0.0) for r in rows]
+            assert product_copula(pts).tolist() == [math.prod(r) for r in rows]
+
     @given(
         st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=5)
     )
@@ -248,6 +258,15 @@ class TestRelativeDistance:
             relative_distance(0.9, [0.4, 0.9])
         with pytest.raises(BoundsViolated):
             relative_distance(0.0, [0.9, 0.95])
+
+    def test_rejects_bad_points_and_shapes(self):
+        for point in ([0.4, np.nan], [0.4, 1.2], [-0.1, 0.5]):
+            with pytest.raises(InvalidInput):
+                relative_distance(0.2, point)
+        with pytest.raises(DimensionMismatch):
+            relative_distance([0.2, 0.3], [0.4, 0.9])
+        with pytest.raises(BoundsViolated, match="exceeds upper bound 0.4"):
+            relative_distance([0.1, 0.9], [[0.2, 0.5], [0.4, 0.9]])
 
     def test_tolerance_clamps(self):
         p = [0.4, 0.9]

@@ -1,6 +1,6 @@
 """The copula statistic: trace, domain partition, local optima, gamma."""
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from copstat import (
     BoundsViolated,
     DegenerateMarginal,
+    DomainRecord,
     InvalidInput,
     Sample,
     copula_statistic,
@@ -19,7 +20,7 @@ from copstat import (
     partition_domains,
     pseudo_observations,
 )
-from copstat import copula_core
+from copstat import copula_core, statistic
 from copstat.statistic import NON_DECREASING, NON_INCREASING, _cos_batch
 
 from oracles import naive_cos_report
@@ -277,12 +278,52 @@ class TestCopulaStatistic:
             == copula_statistic(Sample.from_columns([y, x])).cos
         )
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_invariant_under_increasing_marginal_maps(self, data):
+        n = data.draw(st.integers(2, 40))
+        d = data.draw(st.integers(2, 4))
+        column = st.lists(st.integers(-500, 500), min_size=n, max_size=n, unique=True)
+        x = np.column_stack([data.draw(column) for _ in range(d)]).astype(float)
+        # each map is strictly increasing in float64 on distinct integers in [-500, 500]
+        maps = st.sampled_from([
+            lambda v: 3.0 * v - 7.0, lambda v: v**3, lambda v: np.exp(v / 50.0),
+            np.arctan, lambda v: np.log(v + 501.0),
+        ])
+        warped = np.column_stack([data.draw(maps)(x[:, k]) for k in range(d)])
+        assert copula_statistic(Sample(warped)) == copula_statistic(Sample(x))
+
     def test_deterministic(self):
         rng = np.random.default_rng(10)
         data = rng.random((50, 3))
         a = copula_statistic(Sample(data))
         b = copula_statistic(Sample(data))
         assert a == b
+
+    def test_reports_of_different_data_differ(self):
+        rng = np.random.default_rng(14)
+        a = copula_statistic(Sample(rng.random((50, 3))))
+        assert a != copula_statistic(Sample(rng.random((50, 3))))
+        # one per-run entry apart is enough
+        lam = a.lambda_min.copy()
+        assert replace(a, lambda_min=lam) == a
+        lam[-1] = np.nextafter(lam[-1], 2.0)
+        assert replace(a, lambda_min=lam) != a
+
+    def test_records_built_only_when_read(self, monkeypatch):
+        built = []
+
+        class CountedRecord(DomainRecord):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(statistic, "DomainRecord", CountedRecord)
+        data = np.random.default_rng(15).random((300, 2))
+        report = copula_statistic(Sample(data))
+        assert 0.0 <= report.cos <= 1.0
+        assert built == []
+        assert len(report.domains) == report.m == len(built)
 
     def test_multivariate_monotone(self):
         rng = np.random.default_rng(11)
