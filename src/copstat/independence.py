@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .copula_core import Sample, as_sample
 from .errors import InvalidGrid, InvalidInput, InvalidParam
@@ -191,6 +190,8 @@ def _check_alpha(alpha: float) -> None:
 def _z_test(cos, n: int, curve: CalibrationCurve, alpha: float):
     """z of statistic values from n-point samples, the two-sided cutoff at
     level alpha, and whether each |z| exceeds it (dependence declared)."""
+    from scipy.special import ndtri  # imported here, as scipy is most of `import copstat`
+
     z = (cos - curve.predict_mu(n)) / curve.predict_sigma(n)
     cutoff = float(ndtri(1.0 - alpha / 2.0))
     return z, cutoff, np.abs(z) > cutoff

@@ -28,6 +28,7 @@ from .copula_core import (
     _dominance_counts,
     _observations,
     _ranked,
+    _tied_ranks,
     as_sample,
     pseudo_observations,
     relative_distance,
@@ -182,12 +183,11 @@ class CosReport:
                    for f in fields(self))
 
 
-def _sorted_trace(u, order, sort_axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Trace order and values, both (T, n), of each sample of a (T, n, d)
-    stack of pseudo-observations with stable sorting order `order`."""
-    by_axis = order[..., sort_axis]
-    values = np.take_along_axis(_dominance_counts(u, order), by_axis, axis=1) / u.shape[1]
-    return by_axis, values
+def _sorted_trace(pos, row, by_axis) -> np.ndarray:
+    """Trace values (T, n) of each sample of a stack, from the `pos` and
+    `row` arrays of `_dominance_counts` and the trace order `by_axis`."""
+    counts = _dominance_counts(pos, row)
+    return np.take_along_axis(counts, by_axis, axis=1) / pos.shape[2]
 
 
 def copula_trace(ps: PseudoSample, sort_axis: int = 0) -> Trace:
@@ -200,9 +200,10 @@ def copula_trace(ps: PseudoSample, sort_axis: int = 0) -> Trace:
     """
     if not 0 <= sort_axis < ps.d:
         raise InvalidInput(f"sort_axis {sort_axis} out of range for d={ps.d}")
-    u = ps.u[None]
-    order, values = _sorted_trace(u, np.argsort(u, axis=1, kind="stable"), sort_axis)
-    return Trace(points=ps.u[order[0]], values=values[0], order=order[0])
+    order, pos, row = _tied_ranks(ps.u[None])
+    by_axis = order[:, sort_axis]
+    values = _sorted_trace(pos, row, by_axis)
+    return Trace(points=ps.u[by_axis[0]], values=values[0], order=by_axis[0])
 
 
 def _trace_values(trace) -> np.ndarray:
@@ -346,17 +347,20 @@ def _cos_batch(x) -> np.ndarray:
     """copula_statistic(x[t]).cos for every sample of a (T, n, d) stack,
     computed in array passes over the whole stack."""
     x = _observations(x, ("T", "n", "d"))
-    T, n, d = x.shape
-    u, order = _ranked(x)
-    by_axis, s = _sorted_trace(u, order, 0)
+    T, n, _ = x.shape
+    order, pos = _ranked(x)
+    by_axis = order[:, 0]
+    s = _sorted_trace(pos, pos, by_axis)  # ordinal ranks have no ties
     trace_id, start, end, rising, argmin, argmax = _runs(s)
     n_points = end - start + 1
     lo_min, lo_max = _optima(s, trace_id, end, n_points, rising, n)
-    values, points = s.ravel(), u.reshape(-1, d)
-    rows = (by_axis + n * np.arange(T)[:, None]).ravel()  # of `points`, in trace order
+    values, rows = s.ravel(), by_axis.ravel()  # sample row of each trace index
     at_min, at_max = trace_id * n + argmin, trace_id * n + argmax
-    _, _, gamma = _run_scores(values[at_min], values[at_max], points[rows[at_min]],
-                              points[rows[at_max]], lo_min | lo_max, n)
+    # the pseudo-observations of the runs' extreme points, (pos + 1) / n
+    p_min = (pos[trace_id, :, rows[at_min]] + 1) / n
+    p_max = (pos[trace_id, :, rows[at_max]] + 1) / n
+    _, _, gamma = _run_scores(values[at_min], values[at_max], p_min, p_max,
+                              lo_min | lo_max, n)
     return _weighted_means(trace_id, n_points, gamma, T, n)
 
 

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .copula_core import Sample
 from .errors import InvalidParam
@@ -87,7 +86,18 @@ def _label_path(seed: int, labels) -> list[int]:
     return [int(seed)] + [_label_entropy(l) for l in labels]
 
 
-def _philox(entropy: list[int]) -> np.random.Generator:
+def _words(value: int) -> list[int]:
+    """`value` as SeedSequence takes it in: little-endian uint32 words, [0] for 0."""
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & 0xFFFFFFFF]
+    while value > 0xFFFFFFFF:
+        value >>= 32
+        words.append(value & 0xFFFFFFFF)
+    return words
+
+
+def _philox(entropy) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
@@ -117,11 +127,13 @@ def mc_values(seed: int, labels, trials: int, draw, score) -> np.ndarray:
     """
     if trials < 1:
         raise InvalidParam(f"need at least 1 trial, got {trials}")
-    path = _label_path(seed, labels)
+    # SeedSequence takes a uint32 array as is, but converts a list of ints
+    # one int at a time, which took most of each trial's stream derivation
+    prefix = [w for value in _label_path(seed, labels) for w in _words(value)]
     values = np.empty(trials)
     block = []
     for t in range(trials):
-        block.append(draw(_philox(path + [t])))
+        block.append(draw(_philox(np.array(prefix + _words(t), dtype=np.uint32))))
         if (len(block) + 1) * block[0].size > _BLOCK_CELLS or t == trials - 1:
             values[t + 1 - len(block):t + 1] = score(np.stack(block))
             block = []
@@ -132,6 +144,8 @@ def sample_gaussian_copula(rho: float, n: int, rng: np.random.Generator) -> Samp
     """Draw n pairs with uniform marginals and Gaussian-copula dependence."""
     if not -1.0 < rho < 1.0:
         raise InvalidParam(f"rho must be in (-1, 1), got {rho}")
+    from scipy.special import ndtr  # imported here, as scipy is most of `import copstat`
+
     z1 = rng.standard_normal(n)
     z2 = rng.standard_normal(n)
     u = ndtr(z1)

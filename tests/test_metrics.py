@@ -144,11 +144,22 @@ class TestDcor:
             assert 0.0 <= v <= 1.0
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats dominates import time and only spearman needs it
+def test_import_leaves_scipy_stats_unloaded(tmp_path):
+    # scipy dominates import time, and only the Gaussian-copula sampler, the
+    # z-test and spearman need it: importing copstat and running
+    # `copstat cos` load no scipy module
     src = str(Path(copstat.__file__).resolve().parents[1])
-    code = "import sys, copstat, copstat.cli; print('scipy.stats' in sys.modules)"
+    csv = tmp_path / "small.csv"
+    csv.write_text("x,y\n" + "".join(f"{i},{(7 * i) % 11}\n" for i in range(11)))
+    code = (
+        "import sys, contextlib, io, copstat, copstat.cli\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = copstat.cli.main(['cos', sys.argv[1]])\n"
+        "loaded += [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "print(code, loaded)\n"
+    )
     env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True, timeout=120)
-    assert done.stdout.strip() == "False"
+    done = subprocess.run([sys.executable, "-c", code, str(csv)], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout.strip() == "0 []"

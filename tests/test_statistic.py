@@ -12,6 +12,7 @@ from copstat import (
     DegenerateMarginal,
     DomainRecord,
     InvalidInput,
+    PseudoSample,
     Sample,
     copula_statistic,
     copula_trace,
@@ -23,7 +24,7 @@ from copstat import (
 from copstat import copula_core, statistic
 from copstat.statistic import NON_DECREASING, NON_INCREASING, _cos_batch
 
-from oracles import naive_cos_report
+from oracles import naive_copula_count, naive_cos_report
 
 
 def make_trace(values):
@@ -52,6 +53,19 @@ class TestCopulaTrace:
         ps = pseudo_observations(Sample(np.random.default_rng(1).random((10, 2))))
         with pytest.raises(InvalidInput):
             copula_trace(ps, sort_axis=2)
+
+    @pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 129])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_tied_points_match_stable_order_and_naive_count(self, n, d):
+        # values on a 4-level grid, so points share coordinates
+        ps = PseudoSample(np.random.default_rng(100 * n + d).integers(1, 5, size=(n, d)) / 4)
+        rows = ps.u.tolist()
+        for axis in range(d):
+            tr = copula_trace(ps, sort_axis=axis)
+            order = sorted(range(n), key=lambda j: (rows[j][axis], j))
+            assert tr.order.tolist() == order
+            assert np.array_equal(tr.points, ps.u[order])
+            assert tr.values.tolist() == [naive_copula_count(rows, rows[j]) / n for j in order]
 
 
 class TestPartitionDomains:
@@ -394,6 +408,26 @@ class TestCosBatch:
                 copula_statistic(y[2])
             with pytest.raises(error):
                 _cos_batch(y)
+
+    @pytest.mark.parametrize("constant", [[(0, 0)], [(2, 1), (3, 0)], [(1, 2), (1, 0), (3, 1)]])
+    def test_names_the_loops_first_constant_column(self, constant):
+        x = np.random.default_rng(19).random((4, 25, 3))
+        for t, k in constant:
+            x[t, :, k] = 0.5
+        for t, sample in enumerate(x):
+            try:
+                copula_statistic(sample)
+            except DegenerateMarginal as exc:
+                message = str(exc)
+                break
+        # the loop's message, with the sample it came from
+        want = message.replace(" is constant", f" of sample {t} is constant")
+        with pytest.raises(DegenerateMarginal) as exc:
+            _cos_batch(x)
+        assert str(exc.value) == want
+        with pytest.raises(DegenerateMarginal) as exc:
+            _cos_batch(x[t:t + 1])
+        assert str(exc.value) == message
 
     def test_rejects_other_shapes(self):
         x = np.random.default_rng(17).random((3, 20, 2))

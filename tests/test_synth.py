@@ -62,6 +62,17 @@ class TestMcValues:
         assert seen == sizes
         assert vals.tolist() == [derive_rng(3, "b", t).random((2, 2))[1, 0] for t in range(9)]
 
+    @pytest.mark.parametrize("seed, labels", [
+        (0, ()), (0, (0,)), (5, (2**32 - 1,)), (5, (2**32, "x")), (5, (2**64 - 1, 0)),
+        (2**32, ("y", 2**40 + 3)),
+    ])
+    def test_streams_at_uint32_word_boundaries(self, seed, labels):
+        # mc_values hands SeedSequence the path as uint32 words; integers of
+        # 2**32 and more take several words
+        vals = mc_values(seed, labels, 3, lambda rng: rng.random((2, 2)), lambda b: b[:, 1, 1])
+        assert vals.tolist() == [derive_rng(seed, *labels, t).random((2, 2))[1, 1]
+                                 for t in range(3)]
+
     @pytest.mark.parametrize("trials", [0, -1])
     def test_needs_a_trial(self, trials):
         with pytest.raises(InvalidParam):
