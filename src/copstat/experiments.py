@@ -17,15 +17,17 @@ import numpy as np
 from .copula_core import Sample, as_sample
 from .errors import EmptyEdgeList, InvalidInput, InvalidParam
 from .metrics import METRICS, compute_metric
-# copula_statistic and derive_rng stay importable from this module because
-# perfbench's tracer swaps them here
+# copula_statistic, derive_rng and the sample_*_copula samplers stay
+# importable from this module because perfbench's tracer swaps them here
 from .statistic import _cos_batch, copula_statistic  # noqa: F401
 from .synth import (  # noqa: F401
+    _COPULA_SAMPLERS,
     DependencySpec,
     derive_rng,
     gen_dependency,
     mc_values,
     sample_clayton_copula,
+    sample_copula,
     sample_gaussian_copula,
     sample_gumbel_copula,
 )
@@ -227,12 +229,8 @@ def _source_sampler(source: str):
         name == "gumbel" and param == 1.0
     ):
         return lambda n, rng: Sample(rng.random((n, 2)))
-    if name == "gauss":
-        return lambda n, rng: sample_gaussian_copula(param, n, rng)
-    if name == "gumbel":
-        return lambda n, rng: sample_gumbel_copula(param, n, rng)
-    if name == "clayton":
-        return lambda n, rng: sample_clayton_copula(param, n, rng)
+    if name in _COPULA_SAMPLERS:
+        return lambda n, rng: sample_copula(name, param, n, rng)
     if name == "sin":
         spec = DependencySpec(kind="sinusoidal", freq=param, p=0.0)
         return lambda n, rng: gen_dependency(spec, n, rng)

@@ -14,18 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copula_core import Sample, as_sample
+from .copula_core import as_sample
 from .errors import InvalidGrid, InvalidInput, InvalidParam
 from .statistic import _cos_batch, copula_statistic
-# derive_rng stays importable from this module because perfbench's tracer
-# swaps it here
-from .synth import (  # noqa: F401
-    derive_rng,
-    mc_values,
-    sample_clayton_copula,
-    sample_gaussian_copula,
-    sample_gumbel_copula,
-)
+# derive_rng and sample_copula stay importable from this module because
+# perfbench's tracer swaps them here
+from .synth import derive_rng, mc_values, sample_copula  # noqa: F401
 
 H0 = "independent"
 H1 = "dependent"
@@ -195,23 +189,6 @@ def _z_test(cos, n: int, curve: CalibrationCurve, alpha: float):
     z = (cos - curve.predict_mu(n)) / curve.predict_sigma(n)
     cutoff = float(ndtri(1.0 - alpha / 2.0))
     return z, cutoff, np.abs(z) > cutoff
-
-
-_COPULA_SAMPLERS = {
-    "gauss": sample_gaussian_copula,
-    "gumbel": sample_gumbel_copula,
-    "clayton": sample_clayton_copula,
-}
-
-
-def sample_copula(family: str, param: float, n: int, rng: np.random.Generator) -> Sample:
-    """Draw from a named copula family; param 0 for gauss and 1 for gumbel
-    are the independence members."""
-    try:
-        sampler = _COPULA_SAMPLERS[family]
-    except KeyError:
-        raise InvalidParam(f"unknown copula family {family!r}") from None
-    return sampler(param, n, rng)
 
 
 def type2_error(

@@ -6,7 +6,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .copula_core import as_sample, dominance_counts, pseudo_observations
+from .copula_core import _dominance_counts, _ranked, as_sample
+# pseudo_observations stays importable from this module because perfbench's
+# tracer swaps it here
+from .copula_core import pseudo_observations  # noqa: F401
 from .errors import DegenerateMarginal, DimensionMismatch, InvalidInput
 
 
@@ -50,7 +53,8 @@ def kendall_mv(sample) -> float:
     """
     s = as_sample(sample)
     n, d = s.n, s.d
-    total = int(dominance_counts(pseudo_observations(s)).sum())
+    _, pos = _ranked(s.data[None])
+    total = int(_dominance_counts(pos, pos).sum())  # ordinal ranks have no ties
     mean_c = (total - n) / (n * (n - 1))
     return (2.0**d * mean_c - 1.0) / (2.0 ** (d - 1) - 1.0)
 

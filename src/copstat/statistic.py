@@ -11,9 +11,10 @@ The result lies in [0, 1]: near 0 for independent data, exactly 1 for
 noise-free monotone dependence at any n >= 2, and asymptotically 1 for any
 functional dependence.
 
-Each stage works on a stack of samples.  `copula_statistic` and the public
-stage functions run a stack of one; the Monte Carlo pipelines score whole
-blocks of trials through `_cos_batch`, with bit-identical values.
+One private scorer, `_scored`, scores a stack of samples in array passes,
+sorting each column once: `_cos_batch` hands it the Monte Carlo pipelines'
+blocks of trials and `copula_statistic` a stack of one.  The public stage
+functions run the same passes one stage at a time.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .copula_core import (
+# pseudo_observations stays importable from this module because perfbench's
+# tracer swaps it here
+from .copula_core import (  # noqa: F401
     PseudoSample,
     _dominance_counts,
     _observations,
@@ -320,15 +323,6 @@ def domain_gamma(lambda_min, lambda_max, flagged):
     return np.where(flagged, 1.0, 0.5 * (lambda_min + lambda_max))[()]
 
 
-def _run_scores(c_min, c_max, p_min, p_max, flagged, n: int):
-    """(lambda_min, lambda_max, gamma) of runs with extreme copula values
-    c_min/c_max at points p_min/p_max, from n-point samples."""
-    tol = 1.0 / (2 * n)
-    lam_min = relative_distance(c_min, p_min, tol)
-    lam_max = relative_distance(c_max, p_max, tol)
-    return lam_min, lam_max, domain_gamma(lam_min, lam_max, flagged)
-
-
 def _weighted_means(trace_id, n_points, gamma, T: int, n: int) -> np.ndarray:
     """The statistic of each trace of a T-trace stack, from its runs.
 
@@ -343,13 +337,16 @@ def _weighted_means(trace_id, n_points, gamma, T: int, n: int) -> np.ndarray:
     return total / (n + m - 1)
 
 
-def _cos_batch(x) -> np.ndarray:
-    """copula_statistic(x[t]).cos for every sample of a (T, n, d) stack,
-    computed in array passes over the whole stack."""
-    x = _observations(x, ("T", "n", "d"))
-    T, n, _ = x.shape
+def _scored(x: np.ndarray, sort_axis: int) -> tuple[np.ndarray, ...]:
+    """(cos, start, end, rising, lambda_min, lambda_max, gamma,
+    local_opt_min, local_opt_max) of a validated (T, n, d) stack traced
+    along `sort_axis`: the (T,) statistic, then every trace's runs in trace
+    order, fields as in CosReport.  Each column is sorted once."""
+    T, n, d = x.shape
     order, pos = _ranked(x)
-    by_axis = order[:, 0]
+    if not 0 <= sort_axis < d:
+        raise InvalidInput(f"sort_axis {sort_axis} out of range for d={d}")
+    by_axis = order[:, sort_axis]
     s = _sorted_trace(pos, pos, by_axis)  # ordinal ranks have no ties
     trace_id, start, end, rising, argmin, argmax = _runs(s)
     n_points = end - start + 1
@@ -359,9 +356,18 @@ def _cos_batch(x) -> np.ndarray:
     # the pseudo-observations of the runs' extreme points, (pos + 1) / n
     p_min = (pos[trace_id, :, rows[at_min]] + 1) / n
     p_max = (pos[trace_id, :, rows[at_max]] + 1) / n
-    _, _, gamma = _run_scores(values[at_min], values[at_max], p_min, p_max,
-                              lo_min | lo_max, n)
-    return _weighted_means(trace_id, n_points, gamma, T, n)
+    tol = 1.0 / (2 * n)
+    lam_min = relative_distance(values[at_min], p_min, tol)
+    lam_max = relative_distance(values[at_max], p_max, tol)
+    gamma = domain_gamma(lam_min, lam_max, lo_min | lo_max)
+    cos = _weighted_means(trace_id, n_points, gamma, T, n)
+    return cos, start, end, rising, lam_min, lam_max, gamma, lo_min, lo_max
+
+
+def _cos_batch(x) -> np.ndarray:
+    """copula_statistic(x[t]).cos for every sample of a (T, n, d) stack,
+    from one `_scored` pass over the whole stack."""
+    return _scored(_observations(x, ("T", "n", "d")), 0)[0]
 
 
 def copula_statistic(sample, sort_axis: int = 0) -> CosReport:
@@ -370,20 +376,11 @@ def copula_statistic(sample, sort_axis: int = 0) -> CosReport:
     The trace is sorted on `sort_axis` (column 0 by default).  Runtime is
     O(d n^2 / 64) word operations, as the trace counts every point's
     dominated points with 64-point bitsets in tables of O(n) words; scoring
-    the runs is O(n) array work.  The result is deterministic in the input.
-    The report keeps the runs as arrays; reading `report.domains` builds
-    their DomainRecords, which no part of the statistic needs.
+    the runs is O(n) array work.  The result is deterministic in the input:
+    it is `_scored`'s stack of one, bit-identical to `_cos_batch`.  The
+    report keeps the runs as arrays; reading `report.domains` builds their
+    DomainRecords, which no part of the statistic needs.
     """
-    sample = as_sample(sample)
-    ps = pseudo_observations(sample)
-    n = ps.n
-    trace = copula_trace(ps, sort_axis=sort_axis)
-    part = detect_local_optima(trace, partition_domains(trace), n)
-    lam_min, lam_max, gamma = _run_scores(
-        part.c_min, part.c_max, trace.points[part.argmin], trace.points[part.argmax],
-        part.local_opt_min | part.local_opt_max, n)
-    cos = _weighted_means(np.zeros(part.m, dtype=np.intp), part.n_points, gamma, 1, n)
-    return CosReport(
-        cos=float(cos[0]), n=n, d=ps.d, sort_axis=sort_axis, start=part.start,
-        end=part.end, rising=part.rising, lambda_min=lam_min, lambda_max=lam_max,
-        gamma=gamma, local_opt_min=part.local_opt_min, local_opt_max=part.local_opt_max)
+    x = as_sample(sample).data
+    cos, *runs = _scored(x[None], sort_axis)  # runs in CosReport's field order
+    return CosReport(float(cos[0]), *x.shape, sort_axis, *runs)

@@ -1,8 +1,9 @@
 """Seeded synthetic-data generators.
 
-Copula samplers (Gaussian, Gumbel, Clayton), noisy functional-dependence
-generators, and the deliberately weak linear-congruential streams fed
-through a Box-Muller transform that produce structured point patterns.
+Copula samplers (Gaussian, Gumbel, Clayton) and `sample_copula`, which
+draws from them by family name; noisy functional-dependence generators;
+and the deliberately weak linear-congruential streams fed through a
+Box-Muller transform that produce structured point patterns.
 
 Randomness comes from numpy's Philox counter-based generator.  Independent
 sub-streams are derived from a root seed plus a label path, so parallel
@@ -195,6 +196,25 @@ def sample_clayton_copula(theta: float, n: int, rng: np.random.Generator) -> Sam
     else:
         v = ((t ** (-theta / (1.0 + theta)) - 1.0) * u ** (-theta) + 1.0) ** (-1.0 / theta)
     return Sample(np.column_stack([u, v]))
+
+
+#: The copula-family registry: the type-II error study's families and the
+#: bias tables' copula sources.
+_COPULA_SAMPLERS = {
+    "gauss": sample_gaussian_copula,
+    "gumbel": sample_gumbel_copula,
+    "clayton": sample_clayton_copula,
+}
+
+
+def sample_copula(family: str, param: float, n: int, rng: np.random.Generator) -> Sample:
+    """Draw from a named copula family; param 0 for gauss and 1 for gumbel
+    are the independence members."""
+    try:
+        sampler = _COPULA_SAMPLERS[family]
+    except KeyError:
+        raise InvalidParam(f"unknown copula family {family!r}") from None
+    return sampler(param, n, rng)
 
 
 @dataclass(frozen=True)

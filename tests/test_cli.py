@@ -96,6 +96,10 @@ class TestCos:
         assert main(["cos", path, "--sort-axis", "2"]) == 0
         assert json.loads(capsys.readouterr().out)["sort_axis"] == 2
 
+    def test_sort_axis_out_of_range_exits_2(self, comono_csv, capsys):
+        assert main(["cos", comono_csv, "--sort-axis", "2"]) == 2
+        assert "sort_axis 2 out of range for d=2" in capsys.readouterr().err
+
 
 class TestReadCsv:
     def test_blank_and_whitespace_lines_skipped_silently(self, tmp_path, capsys):

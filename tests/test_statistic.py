@@ -270,11 +270,18 @@ class TestCopulaStatistic:
                 data = np.column_stack(
                     [x] + [np.sin(14 * x + k) + noise * rng.normal(size=n) for k in range(1, d)]
                 )
+            ps = pseudo_observations(data)
             for axis in range(d):
                 rep = copula_statistic(Sample(data), sort_axis=axis)
                 cos, m, domains = naive_cos_report(data.tolist(), axis)
                 assert (rep.cos, rep.m) == (cos, m), (kind, d, n, axis)
                 assert [asdict(r) for r in rep.domains] == domains, (kind, d, n, axis)
+                # the public stage functions find the runs the scorer found
+                trace = copula_trace(ps, axis)
+                part = detect_local_optima(trace, partition_domains(trace), n)
+                for name in ("start", "end", "rising", "local_opt_min", "local_opt_max"):
+                    assert np.array_equal(getattr(part, name), getattr(rep, name)), (
+                        kind, d, n, axis, name)
 
     def test_invariant_under_increasing_transforms(self):
         rng = np.random.default_rng(8)
@@ -353,6 +360,17 @@ class TestCopulaStatistic:
         rep2 = copula_statistic(Sample(data), sort_axis=2)
         assert rep0.sort_axis == 0 and rep2.sort_axis == 2
         assert 0.0 <= rep2.cos <= 1.0
+
+    @pytest.mark.parametrize("axis", [3, -1])
+    def test_sort_axis_out_of_range(self, axis):
+        data = np.random.default_rng(20).random((30, 3))
+        with pytest.raises(InvalidInput, match=f"sort_axis {axis} out of range for d=3"):
+            copula_statistic(data, sort_axis=axis)
+        # a constant column is reported first, as with a valid axis
+        data = data.copy()
+        data[:, 1] = 0.5
+        with pytest.raises(DegenerateMarginal):
+            copula_statistic(data, sort_axis=axis)
 
 
 def _stack(kind, T, n, d, rng):
