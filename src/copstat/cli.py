@@ -105,27 +105,26 @@ def select_columns(header, data, spec: str | None):
     return [header[i] for i in picked], data[:, picked]
 
 
-def write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(FLOAT_FMT % v if isinstance(v, float) else str(v) for v in row))
-    text = "\n".join(lines) + "\n"
+def _write(path, text: str) -> None:
+    """Write `text` to the file at `path`, or to stdout when `path` is empty."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def write_csv(path, header, rows):
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(FLOAT_FMT % v if isinstance(v, float) else str(v) for v in row))
+    _write(path, "\n".join(lines) + "\n")
 
 
 def emit_json(path, payload):
     """Write `payload` as one line of compact JSON."""
     # no indent: json only uses its C encoder when indent is None
-    text = json.dumps(payload, separators=(",", ":"), default=_jsonable) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(path, json.dumps(payload, separators=(",", ":"), default=_jsonable) + "\n")
 
 
 def _jsonable(obj):
@@ -177,12 +176,7 @@ def cmd_itest(args) -> int:
 def cmd_calibrate(args) -> int:
     grid = [int(v) for v in args.grid.split(",")] if args.grid else list(DEFAULT_GRID)
     curve = calibrate_null(grid, args.trials, args.seed)
-    text = curve.to_json() + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, curve.to_json() + "\n")
     return 0
 
 
@@ -230,9 +224,7 @@ def _write_sample_csv(sample: Sample, out, sidecar: dict | None) -> None:
     header = [f"x{i}" for i in range(sample.d)]
     write_csv(out, header, [tuple(row) for row in sample.data])
     if out and sidecar is not None:
-        with open(str(out) + ".json", "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=2)
-            fh.write("\n")
+        _write(str(out) + ".json", json.dumps(sidecar, indent=2) + "\n")
 
 
 def cmd_gen(args) -> int:

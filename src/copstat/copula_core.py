@@ -55,7 +55,9 @@ def _observations(data, axes: tuple[str, ...]) -> np.ndarray:
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+    """A read-only C-ordered float copy of `a`, so the caller's array stays
+    as it was and writable."""
+    a = np.array(a, dtype=float, order="C")
     a.flags.writeable = False
     return a
 
@@ -213,21 +215,23 @@ class EmpiricalCopula:
 
     def cdf(self, point) -> float:
         """Evaluate C_n at one point of the unit hypercube."""
-        p = as_unit_point(np.ravel(point), self.d)
-        inside = np.all(self.points.u <= p, axis=1)
-        return int(np.count_nonzero(inside)) / self.n
+        return float(self.cdf_many(np.ravel(point)[None])[0])
 
     def cdf_many(self, pts: np.ndarray) -> np.ndarray:
         """Evaluate C_n at each row of an (m, d) array of unit points.
 
-        At the sample's own points, dominance_counts(points) / n gives the
-        same values in O(d n^2 / 64) word operations.
+        Raises DimensionMismatch unless `pts` has shape (m, d), and
+        InvalidInput on coordinates that are not finite or lie outside
+        [0, 1].  At the sample's own points, dominance_counts(points) / n
+        gives the same values in O(d n^2 / 64) word operations.
         """
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.d:
             raise DimensionMismatch(
                 f"expected points of shape (m, {self.d}), got {pts.shape}"
             )
+        if pts.size:  # as_unit_point rejects an empty batch
+            as_unit_point(pts)
         u = self.points.u
         m = pts.shape[0]
         out = np.empty(m, dtype=float)

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .copula_core import Sample, as_sample
 from .errors import EmptyEdgeList, InvalidInput, InvalidParam
-from .metrics import METRICS, compute_metric
+from .metrics import compute_metric
 # copula_statistic, derive_rng and the sample_*_copula samplers stay
 # importable from this module because perfbench's tracer swaps them here
 from .statistic import _cos_batch, copula_statistic  # noqa: F401
@@ -64,14 +64,7 @@ def _metric_batch(metric: str):
 
 def _as_spec(dependency, p: float) -> DependencySpec:
     if isinstance(dependency, DependencySpec):
-        return DependencySpec(
-            kind=dependency.kind,
-            p=p,
-            noise_mode="additive",
-            x_range=dependency.x_range,
-            freq=dependency.freq,
-            fn_id=dependency.fn_id,
-        )
+        return replace(dependency, p=p, noise_mode="additive", r2=None)
     return DependencySpec(kind=str(dependency), p=p, noise_mode="additive")
 
 
@@ -271,10 +264,7 @@ def dependence_matrix(expr, metric: str = "cos") -> np.ndarray:
     g = s.d
     m = np.zeros((g, g))
     for i, j in itertools.combinations(range(g), 2):
-        v = compute_metric(metric, np.column_stack([s.column(i), s.column(j)]))
-        if metric in SIGNED_METRICS:
-            v = abs(v)
-        m[i, j] = m[j, i] = v
+        m[i, j] = m[j, i] = _metric_value(metric, np.column_stack([s.column(i), s.column(j)]))
     return m
 
 

@@ -95,7 +95,7 @@ DEFAULT_NULL_CURVE = CalibrationCurve(
 )
 
 #: Grid used when calibrating from scratch with defaults.
-DEFAULT_GRID = (50, 100, 200, 300, 500, 700, 1000, 1500, 2000, 3000)
+DEFAULT_GRID = DEFAULT_NULL_CURVE.fit_grid
 
 
 @dataclass(frozen=True)

@@ -42,10 +42,6 @@ NON_DECREASING = "non-decreasing"
 NON_INCREASING = "non-increasing"
 
 
-def _directions(rising: np.ndarray) -> np.ndarray:
-    return np.where(rising, NON_DECREASING, NON_INCREASING)
-
-
 class Trace(NamedTuple):
     """Empirical copula evaluated along the sample sorted by one axis.
 
@@ -59,36 +55,15 @@ class Trace(NamedTuple):
     order: np.ndarray
 
 
-@dataclass(frozen=True)
-class DomainRun:
-    """One maximal monotone run of the trace.
-
-    `start`/`end` are inclusive indices into the trace; consecutive runs
-    share exactly one boundary index.  `argmin`/`argmax` are trace indices
-    of the first point attaining the run's extreme copula values.
-    """
-
-    start: int
-    end: int
-    direction: str
-    c_min: float
-    c_max: float
-    argmin: int
-    argmax: int
-    local_opt_min: bool = False
-    local_opt_max: bool = False
-
-    @property
-    def n_points(self) -> int:
-        return self.end - self.start + 1
-
-
 @dataclass(frozen=True, eq=False)
 class DomainPartition:
-    """Monotone-run decomposition of a trace; sum(n_points) = n + m - 1.
+    """Maximal monotone runs of a trace, as parallel arrays with one entry
+    per run in trace order; sum(n_points) = n + m - 1.
 
-    Parallel arrays with one entry per run, fields as in DomainRun;
-    `rising` is True for a non-decreasing run.
+    `start`/`end` are inclusive indices into the trace; consecutive runs
+    share exactly one boundary index.  `rising` is True for a
+    non-decreasing run.  `argmin`/`argmax` are trace indices of the first
+    point attaining the run's extreme copula values.
     """
 
     start: np.ndarray
@@ -96,8 +71,6 @@ class DomainPartition:
     rising: np.ndarray
     argmin: np.ndarray
     argmax: np.ndarray
-    c_min: np.ndarray
-    c_max: np.ndarray
     local_opt_min: np.ndarray
     local_opt_max: np.ndarray
 
@@ -108,17 +81,6 @@ class DomainPartition:
     @property
     def n_points(self) -> np.ndarray:
         return self.end - self.start + 1
-
-    @property
-    def direction(self) -> np.ndarray:
-        return _directions(self.rising)
-
-    @property
-    def runs(self) -> tuple[DomainRun, ...]:
-        """The runs as DomainRun records, built on each access."""
-        columns = (self.start, self.end, self.direction, self.c_min, self.c_max,
-                   self.argmin, self.argmax, self.local_opt_min, self.local_opt_max)
-        return tuple(map(DomainRun, *(c.tolist() for c in columns)))
 
 
 @dataclass(frozen=True)
@@ -169,7 +131,8 @@ class CosReport:
 
     def domain_columns(self) -> tuple[list, ...]:
         """The runs' DomainRecord fields, in field order, one list each."""
-        columns = (self.start, self.end, _directions(self.rising), self.n_points,
+        direction = np.where(self.rising, NON_DECREASING, NON_INCREASING)
+        columns = (self.start, self.end, direction, self.n_points,
                    self.lambda_min, self.lambda_max, self.gamma, self.local_opt_min,
                    self.local_opt_max)
         return tuple(c.tolist() for c in columns)
@@ -258,19 +221,9 @@ def partition_domains(trace) -> DomainPartition:
     s = _trace_values(trace)
     if s.size < 2:
         raise InvalidInput("trace needs at least 2 points")
-    _, start, end, rising, argmin, argmax = _runs(s[None])
-    no_flags = np.zeros(start.size, dtype=bool)
-    return DomainPartition(
-        start=start,
-        end=end,
-        rising=rising,
-        argmin=argmin,
-        argmax=argmax,
-        c_min=s[argmin],
-        c_max=s[argmax],
-        local_opt_min=no_flags,
-        local_opt_max=no_flags,
-    )
+    _, *runs = _runs(s[None])  # runs in DomainPartition's field order
+    no_flags = np.zeros(runs[0].size, dtype=bool)
+    return DomainPartition(*runs, no_flags, no_flags)
 
 
 def _optima(s, trace_id, end, n_points, rising, n) -> tuple[np.ndarray, np.ndarray]:

@@ -15,6 +15,7 @@ from copstat import (
     InvalidInput,
     Sample,
     copula_core,
+    copula_statistic,
     empirical_copula,
     frechet_lower,
     frechet_upper,
@@ -50,6 +51,16 @@ class TestSample:
         s = Sample(np.array([[1.0, 2.0], [3.0, 4.0]]))
         with pytest.raises(ValueError):
             s.data[0, 0] = 9.0
+
+    def test_leaves_caller_arrays_writable(self):
+        x = np.random.default_rng(6).random((20, 2))
+        u = (np.argsort(np.argsort(x, axis=0), axis=0) + 1) / 20
+        x0, u0 = x.copy(), u.copy()
+        s, ps = Sample(x), PseudoSample(u)
+        copula_statistic(x)
+        x[0, 0] = u[0, 0] = 9.0
+        assert np.array_equal(s.data, x0)
+        assert np.array_equal(ps.u, u0)
 
 
 class TestPseudoObservations:
@@ -115,6 +126,22 @@ class TestEmpiricalCopula:
         batch = cop.cdf_many(pts)
         for i, p in enumerate(pts):
             assert batch[i] == cop.cdf(p)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1, 2.0])
+    def test_cdf_many_rejects_points_off_the_unit_cube(self, bad):
+        cop = empirical_copula(Sample(np.random.default_rng(6).random((10, 2))))
+        with pytest.raises(InvalidInput):
+            cop.cdf_many(np.array([[0.5, 0.5], [bad, 0.5]]))
+
+    @pytest.mark.parametrize("shape", [(2,), (4, 3), (1, 1, 2)])
+    def test_cdf_many_rejects_wrong_shapes(self, shape):
+        cop = empirical_copula(Sample(np.random.default_rng(7).random((10, 2))))
+        with pytest.raises(DimensionMismatch):
+            cop.cdf_many(np.full(shape, 0.5))
+
+    def test_cdf_many_of_empty_batch_is_empty(self):
+        cop = empirical_copula(Sample(np.random.default_rng(8).random((10, 2))))
+        assert cop.cdf_many(np.empty((0, 2))).shape == (0,)
 
     def test_bounds_hold_on_rank_grid(self):
         # On points aligned to the 1/n grid the step function respects both

@@ -163,3 +163,9 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path):
     done = subprocess.run([sys.executable, "-c", code, str(csv)], env=env,
                           capture_output=True, text=True, check=True, timeout=120)
     assert done.stdout.strip() == "0 []"
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        assert copstat.__version__ == tomllib.load(fh)["project"]["version"]

@@ -22,7 +22,7 @@ from copstat import (
     pseudo_observations,
 )
 from copstat import copula_core, statistic
-from copstat.statistic import NON_DECREASING, NON_INCREASING, _cos_batch
+from copstat.statistic import _cos_batch
 
 from oracles import naive_copula_count, naive_cos_report
 
@@ -72,27 +72,27 @@ class TestPartitionDomains:
     def test_single_monotone_run(self):
         part = partition_domains(make_trace([1, 2, 3]))
         assert part.m == 1
-        assert part.runs[0].n_points == 3
-        assert part.runs[0].direction == NON_DECREASING
+        assert part.n_points[0] == 3
+        assert part.rising[0]
 
     def test_single_peak(self):
         part = partition_domains(make_trace([1, 2, 1]))
         assert part.m == 2
-        assert (part.runs[0].start, part.runs[0].end) == (0, 1)
-        assert (part.runs[1].start, part.runs[1].end) == (1, 2)
-        assert part.runs[0].n_points == part.runs[1].n_points == 2
-        assert sum(r.n_points for r in part.runs) == 3 + part.m - 1
+        assert (part.start[0], part.end[0]) == (0, 1)
+        assert (part.start[1], part.end[1]) == (1, 2)
+        assert part.n_points[0] == part.n_points[1] == 2
+        assert part.n_points.sum() == 3 + part.m - 1
 
     def test_plateau_absorbed_into_rising_run(self):
         part = partition_domains(make_trace([1, 1, 2, 1]))
         assert part.m == 2
-        assert (part.runs[0].start, part.runs[0].end) == (0, 2)
-        assert part.runs[0].direction == NON_DECREASING
+        assert (part.start[0], part.end[0]) == (0, 2)
+        assert part.rising[0]
 
     def test_flat_trace_single_nondecreasing_run(self):
         part = partition_domains(make_trace([0.5, 0.5, 0.5, 0.5]))
         assert part.m == 1
-        assert part.runs[0].direction == NON_DECREASING
+        assert part.rising[0]
 
     def test_boundary_sharing_invariant(self):
         rng = np.random.default_rng(2)
@@ -100,28 +100,27 @@ class TestPartitionDomains:
             n = int(rng.integers(2, 60))
             s = rng.integers(0, 6, size=n) / 5.0
             part = partition_domains(s)
-            assert sum(r.n_points for r in part.runs) == n + part.m - 1
-            for a, b in zip(part.runs, part.runs[1:]):
-                assert a.end == b.start
-            assert part.runs[0].start == 0
-            assert part.runs[-1].end == n - 1
+            assert part.n_points.sum() == n + part.m - 1
+            assert np.array_equal(part.end[:-1], part.start[1:])
+            assert part.start[0] == 0
+            assert part.end[-1] == n - 1
 
     def test_runs_are_monotone_in_direction(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
             s = rng.integers(0, 8, size=40) / 7.0
-            for run in partition_domains(s).runs:
-                seg = np.diff(s[run.start : run.end + 1])
-                if run.direction == NON_DECREASING:
+            part = partition_domains(s)
+            for start, end, rising in zip(part.start, part.end, part.rising):
+                seg = np.diff(s[start : end + 1])
+                if rising:
                     assert np.all(seg >= 0)
                 else:
                     assert np.all(seg <= 0)
 
     def test_extrema_first_attaining_index(self):
         part = partition_domains(make_trace([1, 2, 2, 2, 1]))
-        run = part.runs[0]
-        assert run.argmax == 1  # first index attaining the plateau max
-        assert run.argmin == 0
+        assert part.argmax[0] == 1  # first index attaining the plateau max
+        assert part.argmin[0] == 0
 
     def test_too_short_trace(self):
         with pytest.raises(InvalidInput):
@@ -131,11 +130,11 @@ class TestPartitionDomains:
         # NaN > 0 is False: a NaN step falls, and leads no rising run
         part = partition_domains(np.array([0.0, np.nan, 1.0]))
         assert part.m == 1
-        assert (part.runs[0].start, part.runs[0].end) == (0, 2)
-        assert part.runs[0].direction == NON_INCREASING
+        assert (part.start[0], part.end[0]) == (0, 2)
+        assert not part.rising[0]
         part = partition_domains(np.array([0.0, 0.0, np.nan, 1.0, 2.0]))
-        assert [(r.start, r.end, r.direction) for r in part.runs] == [
-            (0, 3, NON_INCREASING), (3, 4, NON_DECREASING)]
+        assert list(zip(part.start.tolist(), part.end.tolist(), part.rising.tolist())) == [
+            (0, 3, False), (3, 4, True)]
 
 
 class TestDetectLocalOptima:
@@ -143,26 +142,26 @@ class TestDetectLocalOptima:
         n = 10
         s = np.array([1, 2, 3, 5, 3, 2, 1, 0, 0, 0]) / n  # 2/n drop at peak
         part = detect_local_optima(s, partition_domains(s), n)
-        assert not any(r.local_opt_min or r.local_opt_max for r in part.runs)
+        assert not (part.local_opt_min | part.local_opt_max).any()
 
     def test_unit_steps_and_six_points_flagged(self):
         n = 10
         s = np.array([1, 2, 3, 2, 1, 0]) / n  # 1/n steps, 3 + 4 > 4 points
         part = detect_local_optima(s, partition_domains(s), n)
-        assert part.runs[0].local_opt_max and part.runs[1].local_opt_max
+        assert part.local_opt_max[0] and part.local_opt_max[1]
 
     def test_small_domains_not_flagged(self):
         n = 10
         s = np.array([1, 2, 1]) / n  # 2 + 2 = 4 points, needs more than 4
         part = detect_local_optima(s, partition_domains(s), n)
-        assert not any(r.local_opt_min or r.local_opt_max for r in part.runs)
+        assert not (part.local_opt_min | part.local_opt_max).any()
 
     def test_valley_sets_min_flags(self):
         n = 12
         s = np.array([5, 4, 3, 4, 5, 6]) / n
         part = detect_local_optima(s, partition_domains(s), n)
-        assert part.runs[0].local_opt_min and part.runs[1].local_opt_min
-        assert not part.runs[0].local_opt_max
+        assert part.local_opt_min[0] and part.local_opt_min[1]
+        assert not part.local_opt_max[0]
 
     def test_quartic_interior_maximum_flagged(self):
         # noise-free two-well quartic: global minima at +-sqrt(0.625) and a
@@ -173,11 +172,8 @@ class TestDetectLocalOptima:
         ps = pseudo_observations(Sample.from_columns([x, y]))
         tr = copula_trace(ps)
         part = detect_local_optima(tr.values, partition_domains(tr.values), n)
-        flagged_u = [
-            tr.points[r.end, 0]
-            for r in part.runs[:-1]
-            if r.local_opt_max or r.local_opt_min
-        ]
+        flagged = (part.local_opt_max | part.local_opt_min)[:-1]
+        flagged_u = tr.points[part.end[:-1][flagged], 0]
         assert any(0.45 <= u <= 0.55 for u in flagged_u)
 
     def test_sine_optima_sharing_a_level_flagged(self):
@@ -190,9 +186,9 @@ class TestDetectLocalOptima:
         tr = copula_trace(ps)
         part = detect_local_optima(tr.values, partition_domains(tr.values), n)
         optima = (np.pi / 2 + np.pi * np.arange(-4, 4)) / 14
-        boundaries_x = np.sort(x)[[r.end for r in part.runs[:-1]]]
+        boundaries_x = np.sort(x)[part.end[:-1]]
         assert boundaries_x == pytest.approx(optima, abs=0.01)
-        assert all(r.local_opt_max or r.local_opt_min for r in part.runs)
+        assert (part.local_opt_max | part.local_opt_min).all()
 
 
 class TestGamma:
