@@ -30,7 +30,7 @@ from .independence import (
     test_independence,
 )
 from .statistic import DomainRecord, copula_statistic
-from .synth import DependencySpec, derive_rng, gen_dependency, gen_ripley
+from .synth import NOISE_MODES, DependencySpec, derive_rng, gen_dependency, gen_ripley
 
 FLOAT_FMT = "%.17g"
 
@@ -260,10 +260,9 @@ def cmd_ripley(args) -> int:
 
 def cmd_netscore(args) -> int:
     header, data = read_csv(args.input)
-    eheader, erows = _read_edges(args.edges)
     name_to_idx = {name: i for i, name in enumerate(header)}
     edges = []
-    for a, b in erows:
+    for a, b in _read_edges(args.edges):
         if a not in name_to_idx or b not in name_to_idx:
             raise CopstatError(f"edge ({a}, {b}) references unknown gene names")
         edges.append((name_to_idx[a], name_to_idx[b]))
@@ -299,7 +298,7 @@ def _read_edges(path):
             rows.append((row[0].strip(), row[1].strip()))
     if not rows:
         raise CopstatError(f"{path}: no edges")
-    return header, rows
+    return rows
 
 
 def cmd_returns(args) -> int:
@@ -378,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a noisy functional dependency")
     p.add_argument("--kind", default="linear")
     p.add_argument("--p", type=float, default=0.0)
-    p.add_argument("--mode", default="additive", choices=("multiplicative", "additive", "r2_additive"))
+    p.add_argument("--mode", default="additive", choices=NOISE_MODES)
     p.add_argument("--x-range", default=None, help="e.g. '-5,5'")
     p.add_argument("--freq", type=float, default=1.0)
     p.add_argument("--fn-id", type=int, default=1)

@@ -103,11 +103,9 @@ def as_sample(obj) -> Sample:
 
 @dataclass(frozen=True)
 class PseudoSample:
-    """Rank-transformed data: entry (j, k) is rank(x_jk)/n, in (0, 1].
-
-    Ranks are ordinal with ties broken by original index order, so every
-    column is a permutation of {1/n, ..., n/n}.
-    """
+    """Rank-transformed data: entry (j, k) is a rank of x_jk over n, in
+    (0, 1].  Columns may hold ties; only `pseudo_observations`' ordinal
+    ranks make every column a permutation of {1/n, ..., n/n}."""
 
     u: np.ndarray
 
@@ -188,9 +186,11 @@ def as_unit_point(point, d: int | None = None) -> np.ndarray:
     p = np.atleast_1d(np.asarray(point, dtype=float))
     if d is not None and p.shape[-1] != d:
         raise DimensionMismatch(f"expected a {d}-dimensional point, got {p.shape[-1]}")
-    if p.size < 1 or not np.isfinite(p).all():
+    if p.shape[-1] < 1:
+        raise InvalidInput("point has no coordinates")
+    if not np.isfinite(p).all():
         raise InvalidInput("point coordinates must be finite")
-    if p.min() < 0.0 or p.max() > 1.0:
+    if p.min(initial=0.0) < 0.0 or p.max(initial=1.0) > 1.0:
         raise InvalidInput("point coordinates must lie in [0, 1]")
     return p
 
@@ -230,8 +230,7 @@ class EmpiricalCopula:
             raise DimensionMismatch(
                 f"expected points of shape (m, {self.d}), got {pts.shape}"
             )
-        if pts.size:  # as_unit_point rejects an empty batch
-            as_unit_point(pts)
+        as_unit_point(pts)
         u = self.points.u
         m = pts.shape[0]
         out = np.empty(m, dtype=float)

@@ -8,21 +8,20 @@ Every pipeline derives one generator sub-stream per trial from
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .copula_core import Sample, as_sample
-from .errors import EmptyEdgeList, InvalidInput, InvalidParam
-from .metrics import compute_metric
+from .errors import DegenerateMarginal, EmptyEdgeList, InvalidInput, InvalidParam
+from .metrics import _scorer
 # copula_statistic, derive_rng and the sample_*_copula samplers stay
 # importable from this module because perfbench's tracer swaps them here
 from .statistic import _cos_batch, copula_statistic  # noqa: F401
 from .synth import (  # noqa: F401
     _COPULA_SAMPLERS,
     DependencySpec,
+    _score_blocks,
     derive_rng,
     gen_dependency,
     mc_values,
@@ -31,11 +30,6 @@ from .synth import (  # noqa: F401
     sample_gaussian_copula,
     sample_gumbel_copula,
 )
-
-POWER_METRICS = ("cos", "dcor", "kendall", "spearman", "pearson")
-
-#: Rank metrics are signed; power studies score their magnitude.
-SIGNED_METRICS = {"pearson", "spearman", "kendall"}
 
 
 @dataclass(frozen=True)
@@ -48,18 +42,6 @@ class PowerCurve:
     n: int
     alpha: float
     seed: int
-
-
-def _metric_value(metric: str, sample) -> float:
-    v = compute_metric(metric, sample)
-    return abs(v) if metric in SIGNED_METRICS else v
-
-
-def _metric_batch(metric: str):
-    """Scorer of a (T, n, 2) block of samples by `metric`, for mc_values."""
-    if metric == "cos":
-        return _cos_batch
-    return lambda block: np.array([_metric_value(metric, x) for x in block])
 
 
 def _as_spec(dependency, p: float) -> DependencySpec:
@@ -86,11 +68,10 @@ def run_power(
     metric or the noise level, so all metrics see identical data and the
     noise grid is coupled through common random numbers; power trends in p
     are then monotone up to estimator noise rather than trial noise.
-    Trials are scored in blocks: `cos` in one pass per block, the other
-    metrics one sample at a time.
+    Signed metrics are scored by magnitude.  Trials are scored in blocks:
+    `cos` in one pass per block, the other metrics one sample at a time.
     """
-    if metric not in POWER_METRICS:
-        raise InvalidParam(f"metric must be one of {POWER_METRICS}, got {metric!r}")
+    score = _scorer(metric, InvalidParam, magnitude=True)
     if trials < 100 or n < 100:
         raise InvalidParam("need trials >= 100 and n >= 100")
     if not 0.0 < alpha < 1.0:
@@ -98,7 +79,6 @@ def run_power(
     p_grid = tuple(float(p) for p in p_grid)
     dep_name = dependency.kind if isinstance(dependency, DependencySpec) else str(dependency)
 
-    score = _metric_batch(metric)
     powers = []
     for p in p_grid:
         spec = _as_spec(dependency, p)
@@ -259,27 +239,39 @@ class NetworkScore:
 
 
 def dependence_matrix(expr, metric: str = "cos") -> np.ndarray:
-    """Symmetric pairwise dependence matrix with zero diagonal."""
-    s = as_sample(expr)
-    g = s.d
+    """Symmetric pairwise dependence matrix with zero diagonal, signed
+    metrics by magnitude, all gene pairs scored in blocks by `_score_blocks`."""
+    x = as_sample(expr).data
+    g = x.shape[1]
+    i, j = np.triu_indices(g, 1)
+    score = _scorer(metric, magnitude=True)
+    # x[:, a:b + 1:b - a] views columns a and b (a < b) without a copy
+    pairs = (x[:, a:b + 1:b - a] for a, b in zip(i.tolist(), j.tolist()))
+    try:
+        values = _score_blocks(pairs, score)
+    except DegenerateMarginal:  # a constant gene: name its column, not the pair's
+        k = np.flatnonzero((x == x[0]).all(axis=0))[0]
+        raise DegenerateMarginal(f"gene column {k} is constant") from None
     m = np.zeros((g, g))
-    for i, j in itertools.combinations(range(g), 2):
-        m[i, j] = m[j, i] = _metric_value(metric, np.column_stack([s.column(i), s.column(j)]))
+    m[i, j] = m[j, i] = values
     return m
 
 
 def score_matrix(matrix: np.ndarray, true_edges) -> NetworkScore:
     """Score a precomputed dependence matrix against reference edges.
 
-    Every distinct matrix value (plus an above-all sentinel) serves as a
-    threshold; pairs scoring >= threshold are predicted edges.  Produces
-    ROC points over unordered pairs, the trapezoidal AUC, and the maximum
-    F-score with precision defined as 1 when nothing is predicted.
+    Every distinct value above the diagonal (plus an above-all sentinel)
+    serves as a threshold; pairs scoring >= threshold are predicted edges.
+    Produces ROC points over unordered pairs, the trapezoidal AUC, and the
+    maximum F-score with precision defined as 1 when nothing is predicted.
+    The counts at each threshold are running sums over one descending sort.
     """
     m = np.asarray(matrix, dtype=float)
     g = m.shape[0]
     if m.shape != (g, g):
         raise InvalidInput("dependence matrix must be square")
+    if not np.isfinite(m).all():
+        raise InvalidInput("dependence matrix contains NaN or Inf values")
     edges = {frozenset((int(a), int(b))) for a, b in true_edges}
     if not edges:
         raise EmptyEdgeList("need at least one reference edge")
@@ -287,42 +279,39 @@ def score_matrix(matrix: np.ndarray, true_edges) -> NetworkScore:
         if len(e) != 2 or not all(0 <= v < g for v in e):
             raise InvalidInput(f"edge {set(e)} references invalid gene indices")
 
-    pairs = list(itertools.combinations(range(g), 2))
-    scores = np.array([m[i, j] for i, j in pairs])
-    truth = np.array([frozenset((i, j)) in edges for i, j in pairs])
-    pos = int(truth.sum())
-    neg = len(pairs) - pos
+    is_edge = np.zeros((g, g), dtype=bool)
+    for a, b in map(sorted, edges):
+        is_edge[a, b] = True
+    upper = np.triu_indices(g, 1)
+    # stable: equal scores keep pair order, so a threshold where -0.0 and
+    # 0.0 tie takes the sign of its first pair
+    scores = m[upper]
+    order = np.argsort(-scores, kind="stable")
+    scores, truth = scores[order], is_edge[upper][order]
+    last = np.flatnonzero(np.append(scores[1:] != scores[:-1], True))
+    thresholds = scores[np.append(0, last[:-1] + 1)]
+    tp = np.cumsum(truth)[last]
+    fp = last + 1 - tp
+    pos, neg = tp[-1], fp[-1]
+    tpr = tp / pos
+    fpr = fp / max(neg, 1)  # every fp is 0 when no pair is a non-edge
+    # every threshold predicts a pair, and tp = 0 exactly where recall is 0
+    precision = tp / (tp + fp)
+    f = np.divide(2.0 * precision * tpr, precision + tpr, out=np.zeros(tp.size), where=tp > 0)
+    best = int(np.argmax(f))  # the first, highest, threshold of the maximum
 
-    thresholds = [math.inf, *sorted(set(scores.tolist()), reverse=True)]
-    roc = []
-    f_max = 0.0
-    t_at_fmax = math.inf
-    for t in thresholds:
-        pred = scores >= t
-        tp = int((pred & truth).sum())
-        fp = int((pred & ~truth).sum())
-        fn = pos - tp
-        tpr = tp / pos
-        fpr = fp / neg if neg else 0.0
-        roc.append((fpr, tpr))
-        precision = tp / (tp + fp) if (tp + fp) else 1.0
-        recall = tp / (tp + fn) if (tp + fn) else 0.0
-        f = 0.0 if recall == 0.0 else 2.0 * precision * recall / (precision + recall)
-        if f > f_max:
-            f_max, t_at_fmax = f, t
-    roc.sort()
+    # the sentinel's point, then one per threshold, already in sorted order
+    roc = [(0.0, 0.0), *zip(fpr.tolist(), tpr.tolist())]
     if roc[-1] != (1.0, 1.0):
         roc.append((1.0, 1.0))
-
-    xs = np.array([p[0] for p in roc])
-    ys = np.array([p[1] for p in roc])
+    xs, ys = np.array(roc).T
     auc = float(np.trapezoid(ys, xs)) if neg else 1.0
     return NetworkScore(
         matrix=m,
         roc_points=tuple(roc),
         auc=auc,
-        f_max=f_max,
-        threshold_at_fmax=t_at_fmax,
+        f_max=float(f[best]),
+        threshold_at_fmax=float(thresholds[best]),
     )
 
 

@@ -1,6 +1,7 @@
 """Reference dependence measures computed alongside the copula statistic:
 Pearson and Spearman correlation, multivariate Kendall tau, and distance
-correlation."""
+correlation; and METRICS, the one table of metrics by name, the copula
+statistic included."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from .copula_core import _dominance_counts, _ranked, as_sample
 # tracer swaps it here
 from .copula_core import pseudo_observations  # noqa: F401
 from .errors import DegenerateMarginal, DimensionMismatch, InvalidInput
+from .statistic import _cos_batch
 
 
 def _two_columns(sample) -> tuple[np.ndarray, np.ndarray]:
@@ -80,22 +82,34 @@ def dcor(sample) -> float:
     return float(np.sqrt(dcov2_xy) / np.sqrt(np.sqrt(denom)))
 
 
+def _each(metric):
+    """A one-sample metric's values on each sample of a (T, n, d) stack."""
+    return lambda x: np.array([metric(sample) for sample in x])
+
+
+#: name -> (scorer of a (T, n, d) stack of samples, whether the metric is
+#: signed); pipelines score signed metrics by magnitude.
 METRICS = {
-    "pearson": pearson,
-    "spearman": spearman,
-    "kendall": kendall_mv,
-    "dcor": dcor,
+    "cos": (_cos_batch, False),
+    "dcor": (_each(dcor), False),
+    "kendall": (_each(kendall_mv), True),
+    "spearman": (_each(spearman), True),
+    "pearson": (_each(pearson), True),
 }
 
 
-def compute_metric(name: str, sample) -> float:
-    """Dispatch a named metric; `cos` is handled by the statistic module."""
-    if name == "cos":
-        from .statistic import copula_statistic
-
-        return copula_statistic(sample).cos
+def _scorer(name: str, error=InvalidInput, magnitude: bool = False):
+    """The stack scorer of metric `name`, of magnitudes for a signed metric
+    if `magnitude`; an unknown name raises `error`."""
     try:
-        fn = METRICS[name]
+        score, signed = METRICS[name]
     except KeyError:
-        raise InvalidInput(f"unknown metric {name!r}") from None
-    return fn(sample)
+        raise error(f"metric must be one of {tuple(METRICS)}, got {name!r}") from None
+    if magnitude and signed:
+        return lambda x: np.abs(score(x))
+    return score
+
+
+def compute_metric(name: str, sample) -> float:
+    """The value of metric `name` on one sample."""
+    return float(_scorer(name)(as_sample(sample).data[None])[0])

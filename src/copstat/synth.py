@@ -47,18 +47,6 @@ RIPLEY_FORMS = {
 
 NOISE_MODES = ("multiplicative", "additive", "r2_additive")
 
-DEPENDENCY_KINDS = (
-    "linear",
-    "quadratic",
-    "cubic",
-    "fourth_root",
-    "sinusoidal",
-    "circular",
-    "fourth_poly",
-    "cosine",
-    "testfn",
-)
-
 #: Default X ranges per dependency kind, chosen to match the ranges the
 #: experiment procedures draw from.
 DEFAULT_X_RANGE = {
@@ -72,6 +60,8 @@ DEFAULT_X_RANGE = {
     "cosine": (-5.0, 5.0),
     "testfn": (0.0, 1.0),
 }
+
+DEPENDENCY_KINDS = tuple(DEFAULT_X_RANGE)
 
 
 def _label_entropy(label) -> int:
@@ -112,33 +102,38 @@ def derive_rng(seed: int, *labels) -> np.random.Generator:
     return _philox(_label_path(seed, labels))
 
 
-#: Sample cells (trials x n x d) per block that mc_values hands to its
-#: scorer: 32 trials at n = 200, d = 2.  Bounds the block's working memory.
+#: Cells (samples x n x d) per block that _score_blocks hands to its
+#: scorer: 32 trials at n = 200, d = 2.  Bounds the block's memory.
 _BLOCK_CELLS = 12_800
 
 
-def mc_values(seed: int, labels, trials: int, draw, score) -> np.ndarray:
-    """Values of `trials` Monte Carlo trials, shape (trials,).
+def _score_blocks(arrays, score) -> np.ndarray:
+    """`score`'s values of a sequence of equal-shape (n, d) arrays, in
+    order.  The arrays are stacked into blocks of at most _BLOCK_CELLS cells
+    (at least one array), and `score` maps each (T, n, d) block to its T
+    values, so every value depends only on its own array."""
+    values, block = [], []
+    for x in arrays:
+        block.append(x)
+        if (len(block) + 1) * x.size > _BLOCK_CELLS:
+            values.append(score(np.stack(block)))
+            block = []
+    if block:
+        values.append(score(np.stack(block)))
+    return np.concatenate(values, dtype=float)
 
-    Trial t draws one (n, d) sample array with `draw(rng)` from the stream
-    derive_rng(seed, *labels, t).  Samples are stacked in trial order into
-    blocks of at most _BLOCK_CELLS cells (at least one sample), and
-    `score` maps each (T, n, d) block to its T values, so every value
-    depends only on its own trial's stream.
-    """
+
+def mc_values(seed: int, labels, trials: int, draw, score) -> np.ndarray:
+    """Values of `trials` Monte Carlo trials, shape (trials,): trial t
+    draws one (n, d) sample array with `draw(rng)` from the stream
+    derive_rng(seed, *labels, t), and `_score_blocks` scores them."""
     if trials < 1:
         raise InvalidParam(f"need at least 1 trial, got {trials}")
     # SeedSequence takes a uint32 array as is, but converts a list of ints
     # one int at a time, which took most of each trial's stream derivation
     prefix = [w for value in _label_path(seed, labels) for w in _words(value)]
-    values = np.empty(trials)
-    block = []
-    for t in range(trials):
-        block.append(draw(_philox(np.array(prefix + _words(t), dtype=np.uint32))))
-        if (len(block) + 1) * block[0].size > _BLOCK_CELLS or t == trials - 1:
-            values[t + 1 - len(block):t + 1] = score(np.stack(block))
-            block = []
-    return values
+    return _score_blocks((draw(_philox(np.array(prefix + _words(t), dtype=np.uint32)))
+                          for t in range(trials)), score)
 
 
 def sample_gaussian_copula(rho: float, n: int, rng: np.random.Generator) -> Sample:

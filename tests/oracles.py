@@ -2,13 +2,16 @@
 
 These deliberately avoid the library's vectorized code paths: plain loops
 and direct definitions only, so they stay independent of what they check.
-The Monte Carlo oracles at the end loop over trials and score each one
-with the single-sample `copula_statistic`, one stream per trial, as the
-pipelines did before they scored trials in blocks.
+The Monte Carlo oracles loop over trials and score each one with the
+single-sample `copula_statistic`, one stream per trial, as the pipelines
+did before they scored trials in blocks.  The network oracles at the end
+score one gene pair per call and recount the predictions at every
+threshold.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -21,8 +24,19 @@ from copstat import (
     gen_dependency,
     test_independence,
 )
-from copstat.experiments import SIGNED_METRICS, _source_sampler
+from copstat.experiments import _source_sampler
 from copstat.independence import sample_copula
+
+
+#: Metrics whose sign carries the direction of dependence; power studies
+#: and networks score their magnitude.
+SIGNED_METRICS = {"pearson", "spearman", "kendall"}
+
+
+def metric_magnitude(metric, sample):
+    """compute_metric's value, by magnitude for a signed metric."""
+    v = compute_metric(metric, sample)
+    return abs(v) if metric in SIGNED_METRICS else v
 
 
 def naive_ranks(column):
@@ -208,8 +222,7 @@ def loop_power(kind, metric, trials, n, alpha, p_grid, seed):
     """Power per noise level, as in run_power, for a dependency kind."""
 
     def value(sample):
-        v = compute_metric(metric, sample)
-        return abs(v) if metric in SIGNED_METRICS else v
+        return metric_magnitude(metric, sample)
 
     powers = []
     for p in p_grid:
@@ -225,3 +238,54 @@ def loop_power(kind, metric, trials, n, alpha, p_grid, seed):
                 hits += 1
         powers.append(hits / trials)
     return tuple(powers)
+
+
+def loop_dependence_matrix(expr, metric):
+    """Pairwise dependence matrix, one compute_metric call per gene pair."""
+    x = np.asarray(expr, dtype=float)
+    g = x.shape[1]
+    m = np.zeros((g, g))
+    for i, j in itertools.combinations(range(g), 2):
+        m[i, j] = m[j, i] = metric_magnitude(metric, np.column_stack([x[:, i], x[:, j]]))
+    return m
+
+
+def naive_score_matrix(matrix, true_edges):
+    """(roc_points, auc, f_max, threshold_at_fmax) of a dependence matrix
+    against reference edges: every distinct score above the diagonal, plus
+    an above-all sentinel, as a threshold in turn, with the predictions at
+    each threshold counted from scratch."""
+    m = np.asarray(matrix, dtype=float)
+    g = m.shape[0]
+    edges = {frozenset((int(a), int(b))) for a, b in true_edges}
+    pairs = list(itertools.combinations(range(g), 2))
+    scores = np.array([m[i, j] for i, j in pairs])
+    truth = np.array([frozenset((i, j)) in edges for i, j in pairs])
+    pos = int(truth.sum())
+    neg = len(pairs) - pos
+
+    thresholds = [math.inf, *sorted(set(scores.tolist()), reverse=True)]
+    roc = []
+    f_max = 0.0
+    t_at_fmax = math.inf
+    for t in thresholds:
+        pred = scores >= t
+        tp = int((pred & truth).sum())
+        fp = int((pred & ~truth).sum())
+        fn = pos - tp
+        tpr = tp / pos
+        fpr = fp / neg if neg else 0.0
+        roc.append((fpr, tpr))
+        precision = tp / (tp + fp) if (tp + fp) else 1.0
+        recall = tp / (tp + fn) if (tp + fn) else 0.0
+        f = 0.0 if recall == 0.0 else 2.0 * precision * recall / (precision + recall)
+        if f > f_max:
+            f_max, t_at_fmax = f, t
+    roc.sort()
+    if roc[-1] != (1.0, 1.0):
+        roc.append((1.0, 1.0))
+
+    xs = np.array([p[0] for p in roc])
+    ys = np.array([p[1] for p in roc])
+    auc = float(np.trapezoid(ys, xs)) if neg else 1.0
+    return tuple(roc), auc, f_max, t_at_fmax

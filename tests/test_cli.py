@@ -9,6 +9,8 @@ import pytest
 from copstat import CalibrationCurve, CopstatError, copula_statistic, run_power
 from copstat.cli import main, read_csv
 
+from oracles import loop_dependence_matrix, naive_score_matrix
+
 
 def write(path, text):
     path.write_text(text, encoding="utf-8")
@@ -271,21 +273,42 @@ class TestBias:
         assert source == "sin:1" and float(mu) == 1.0
 
 
+def _separator_expr(tmp_path):
+    rng = np.random.default_rng(1)
+    n = 200
+    z = rng.standard_normal(n)
+    cols = np.column_stack([
+        z, z + 0.01 * rng.standard_normal(n),
+        rng.standard_normal(n), rng.standard_normal(n),
+    ])
+    rows = ["g1,g2,g3,g4"] + [",".join(f"{v:.8f}" for v in r) for r in cols]
+    return write(tmp_path / "expr.csv", "\n".join(rows) + "\n")
+
+
 class TestNetscore:
     def test_perfect_separator(self, tmp_path, capsys):
-        rng = np.random.default_rng(1)
-        n = 200
-        z = rng.standard_normal(n)
-        cols = np.column_stack([
-            z, z + 0.01 * rng.standard_normal(n),
-            rng.standard_normal(n), rng.standard_normal(n),
-        ])
-        rows = ["g1,g2,g3,g4"] + [",".join(f"{v:.8f}" for v in r) for r in cols]
-        expr = write(tmp_path / "expr.csv", "\n".join(rows) + "\n")
+        expr = _separator_expr(tmp_path)
         edges = write(tmp_path / "edges.csv", "from,to\ng1,g2\n")
         assert main(["netscore", expr, "--edges", edges, "--metric", "pearson"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["auc"] == 1.0 and doc["f_max"] == 1.0
+
+    @pytest.mark.parametrize("metric", ["cos", "pearson", "dcor"])
+    def test_output_bytes_match_the_loop_oracles(self, tmp_path, capsys, metric):
+        expr = _separator_expr(tmp_path)
+        edges = write(tmp_path / "edges.csv", "from,to\ng1,g2\ng3,g1\n")
+        genes, data = read_csv(expr)
+        roc, auc, f_max, t = naive_score_matrix(loop_dependence_matrix(data, metric),
+                                                [(0, 1), (2, 0)])
+        assert main(["netscore", expr, "--edges", edges, "--metric", metric]) == 0
+        assert capsys.readouterr().out == json.dumps({
+            "metric": metric, "genes": genes, "auc": auc, "f_max": f_max,
+            "threshold_at_fmax": t, "roc_points": [list(p) for p in roc],
+        }, separators=(",", ":")) + "\n"
+        assert main(["netscore", expr, "--edges", edges, "--metric", metric,
+                     "--format", "csv"]) == 0
+        assert capsys.readouterr().out == "".join(
+            ["fpr,tpr\n"] + ["%.17g,%.17g\n" % p for p in roc])
 
     def test_unknown_gene_exits_2(self, tmp_path, capsys):
         expr = write(tmp_path / "e.csv", "a,b\n1,2\n2,1\n3,4\n")

@@ -236,6 +236,12 @@ class TestEnvelopes:
         assert product_copula([1.0, 0.37]) == pytest.approx(0.37)
         assert product_copula([0.5, 0.5, 0.5]) == pytest.approx(0.125)
 
+    def test_point_without_coordinates_is_named_as_such(self):
+        for point in ([], np.empty((3, 0))):
+            with pytest.raises(InvalidInput, match="no coordinates"):
+                frechet_upper(point)
+        assert copula_core.as_unit_point(np.empty((0, 2))).shape == (0, 2)
+
     def test_batched_points_match_a_loop_over_coordinates(self):
         rng = np.random.default_rng(18)
         for d in range(1, 11):

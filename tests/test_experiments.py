@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from copstat import (
+    DegenerateMarginal,
     DependencySpec,
     EmptyEdgeList,
     InvalidInput,
@@ -17,7 +20,13 @@ from copstat import (
     score_network,
 )
 
-from oracles import loop_bias_table, loop_equitability_means, loop_power
+from oracles import (
+    loop_bias_table,
+    loop_dependence_matrix,
+    loop_equitability_means,
+    loop_power,
+    naive_score_matrix,
+)
 
 
 class TestRunPower:
@@ -185,6 +194,41 @@ class TestScoreMatrix:
         with pytest.raises(InvalidInput):
             score_matrix(np.zeros((3, 3)), [(1, 1)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_scores(self, bad):
+        m = np.array([[0.0, bad, 0.3], [bad, 0.0, 0.2], [0.3, 0.2, 0.0]])
+        with pytest.raises(InvalidInput, match="NaN or Inf"):
+            score_matrix(m, [(0, 1)])
+
+    @staticmethod
+    def assert_matches_naive(m, edges):
+        score = score_matrix(m, edges)
+        got = (score.roc_points, score.auc, score.f_max, score.threshold_at_fmax)
+        assert repr(got) == repr(naive_score_matrix(m, edges))  # tells -0.0 from 0.0
+
+    @pytest.mark.parametrize("levels", [1, 2, 3, 50])
+    @pytest.mark.parametrize("which", ["one", "some", "all"])
+    def test_matches_threshold_loop(self, levels, which):
+        # few levels tie many pairs; "all" leaves no non-edge pair
+        rng = np.random.default_rng(levels)
+        g = 7
+        m = np.triu(rng.integers(0, levels, (g, g)) / levels, 1)
+        m = m + m.T
+        pairs = [(i, j) for i in range(g) for j in range(i + 1, g)]
+        edges = {"one": pairs[5:6], "some": pairs[::3], "all": pairs}[which]
+        self.assert_matches_naive(m, edges)
+
+    @given(st.integers(2, 8).flatmap(lambda g: st.tuples(
+        st.lists(st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0]), min_size=g * g, max_size=g * g),
+        st.sets(st.tuples(st.integers(0, g - 1), st.integers(0, g - 1))
+                .filter(lambda e: e[0] != e[1]), min_size=1),
+        st.just(g))))
+    @settings(max_examples=150, deadline=None)
+    def test_property_matches_threshold_loop(self, case):
+        values, edges, g = case
+        m = np.array(values).reshape(g, g)
+        self.assert_matches_naive(m, sorted(edges))
+
 
 class TestScoreNetwork:
     def test_recovers_planted_structure(self):
@@ -206,6 +250,26 @@ class TestScoreNetwork:
         m = dependence_matrix(rng.random((80, 4)), metric="kendall")
         assert np.allclose(m, m.T)
         assert np.all(np.diag(m) == 0.0)
+
+    @pytest.mark.parametrize("metric", ["cos", "dcor", "kendall", "spearman", "pearson"])
+    def test_matrix_matches_pair_loop(self, metric):
+        # 435 pairs at n = 50: cos scores them in blocks of 127 pairs
+        x = derive_rng(6, "net4").random((50, 30))
+        x[:, 7] = np.round(x[:, 7], 1)  # a gene with tied values
+        assert dependence_matrix(x, metric).tobytes() == loop_dependence_matrix(x, metric).tobytes()
+
+    def test_constant_gene_named_by_its_column(self):
+        x = derive_rng(7, "net5").random((40, 6))
+        x[:, 4] = 0.5
+        with pytest.raises(DegenerateMarginal, match="column 4") as info:
+            dependence_matrix(x, "cos")
+        assert "sample" not in str(info.value)
+        m = dependence_matrix(x, "dcor")
+        assert np.all(m[4] == 0.0) and np.all(m[:, 4] == 0.0)
+
+    def test_unknown_metric(self):
+        with pytest.raises(InvalidInput):
+            dependence_matrix(np.eye(3) + 1.0, "mic")
 
     def test_works_with_cos_metric(self):
         rng = derive_rng(5, "net3")

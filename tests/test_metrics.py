@@ -12,7 +12,10 @@ import copstat
 from copstat import (
     DegenerateMarginal,
     DimensionMismatch,
+    InvalidInput,
     Sample,
+    compute_metric,
+    copula_statistic,
     dcor,
     derive_rng,
     kendall_mv,
@@ -169,3 +172,16 @@ def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
     with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
         assert copstat.__version__ == tomllib.load(fh)["project"]["version"]
+
+
+class TestComputeMetric:
+    def test_matches_each_metric(self):
+        x = derive_rng(21, "cm").random((60, 2))
+        assert compute_metric("cos", x) == copula_statistic(x).cos
+        for name, fn in [("dcor", dcor), ("kendall", kendall_mv), ("spearman", spearman),
+                         ("pearson", pearson)]:
+            assert compute_metric(name, x) == fn(x)
+
+    def test_unknown_metric(self):
+        with pytest.raises(InvalidInput, match="mic"):
+            compute_metric("mic", np.eye(3) + 1.0)
