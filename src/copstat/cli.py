@@ -39,8 +39,9 @@ FLOAT_FMT = "%.17g"
 
 
 def read_csv(path):
-    """Read a headered numeric CSV; rows with empty cells are dropped with
-    a warning, non-numeric cells abort with the offending row/column."""
+    """Read a headered numeric CSV; fully blank rows are skipped, rows with
+    empty cells are dropped with a warning, and non-numeric cells or rows
+    of the wrong width abort with the offending row (and column)."""
     import csv
 
     with open(path, newline="", encoding="utf-8") as fh:
@@ -50,39 +51,48 @@ def read_csv(path):
         except StopIteration:
             raise CopstatError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        width = len(header)
-        rows = []
-        dropped = 0
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) == width:
-                # float() rejects blank cells, so a row that parses whole
-                # is one the checks below would keep as it is
-                try:
-                    rows.append(list(map(float, row)))
-                    continue
-                except ValueError:
-                    pass
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != width:
+        rows = list(reader)
+    # numpy converts str cells with float(), so when every row with a
+    # non-empty cell parses whole, at the header's width, one call reads the
+    # file as the row loop would; a row of whitespace cells fails float()
+    # and takes the loop, which skips it
+    cells = list(filter(any, rows))
+    try:
+        data = np.array(cells, dtype=float)
+        if data.shape == (len(cells), len(header)):
+            return header, data
+    except ValueError:
+        pass
+    return header, _parse_rows(path, header, rows)
+
+
+def _parse_rows(path, header, rows) -> np.ndarray:
+    """The data rows, checked one at a time: the warning for dropped rows
+    and the error for the first bad row come from here."""
+    width = len(header)
+    kept = []
+    dropped = 0
+    for lineno, row in enumerate(rows, start=2):
+        if not any(map(str.strip, row)):
+            continue
+        if len(row) != width:
+            raise CopstatError(f"{path}: row {lineno} has {len(row)} cells, header has {width}")
+        if not all(map(str.strip, row)):
+            dropped += 1
+            continue
+        for col, cell in zip(header, row):
+            try:
+                float(cell)
+            except ValueError:
                 raise CopstatError(
-                    f"{path}: row {lineno} has {len(row)} cells, header has {width}"
-                )
-            if any(not c.strip() for c in row):
-                dropped += 1
-                continue
-            for col, cell in zip(header, row):
-                try:
-                    float(cell)
-                except ValueError:
-                    raise CopstatError(
-                        f"{path}: row {lineno}, column {col!r}: cannot parse {cell.strip()!r}"
-                    ) from None
+                    f"{path}: row {lineno}, column {col!r}: cannot parse {cell.strip()!r}"
+                ) from None
+        kept.append(row)
     if dropped:
         print(f"warning: dropped {dropped} row(s) with missing values", file=sys.stderr)
-    if not rows:
+    if not kept:
         raise CopstatError(f"{path}: no usable data rows")
-    return header, np.asarray(rows, dtype=float)
+    return np.array(kept, dtype=float)
 
 
 def select_columns(header, data, spec: str | None):
@@ -145,6 +155,7 @@ def cmd_cos(args) -> int:
         raise CopstatError("need at least 2 selected columns")
     report = copula_statistic(Sample(data), sort_axis=args.sort_axis)
     names = [f.name for f in fields(DomainRecord)]
+    # one list per DomainRecord field; runs are their rows
     payload = {
         "cos": report.cos,
         "n": report.n,
@@ -152,7 +163,7 @@ def cmd_cos(args) -> int:
         "m": report.m,
         "sort_axis": report.sort_axis,
         "columns": header,
-        "domains": [dict(zip(names, run)) for run in zip(*report.domain_columns())],
+        "domains": dict(zip(names, report.domain_columns())),
     }
     emit_json(args.out, payload)
     return 0

@@ -258,7 +258,8 @@ def dependence_matrix(expr, metric: str = "cos") -> np.ndarray:
 
 
 def score_matrix(matrix: np.ndarray, true_edges) -> NetworkScore:
-    """Score a precomputed dependence matrix against reference edges.
+    """Score a precomputed, symmetric dependence matrix against reference
+    edges.
 
     Every distinct value above the diagonal (plus an above-all sentinel)
     serves as a threshold; pairs scoring >= threshold are predicted edges.
@@ -272,6 +273,10 @@ def score_matrix(matrix: np.ndarray, true_edges) -> NetworkScore:
         raise InvalidInput("dependence matrix must be square")
     if not np.isfinite(m).all():
         raise InvalidInput("dependence matrix contains NaN or Inf values")
+    # only pairs i < j are scored, so a matrix whose triangles differ would
+    # be half ignored
+    if not np.array_equal(m, m.T):
+        raise InvalidInput("dependence matrix must be symmetric")
     edges = {frozenset((int(a), int(b))) for a, b in true_edges}
     if not edges:
         raise EmptyEdgeList("need at least one reference edge")

@@ -66,14 +66,58 @@ class CalibrationCurve:
 
     @classmethod
     def from_json(cls, text: str) -> "CalibrationCurve":
-        doc = json.loads(text)
+        """The curve `to_json` wrote.  Raises InvalidInput on text that is
+        not a JSON object, naming any field that is missing or has the
+        wrong type."""
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InvalidInput(f"calibration curve is not JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise InvalidInput("calibration curve must be a JSON object")
+        models = {}
+        for name in ("mu", "sigma"):
+            model = _field(doc, name, lambda v: isinstance(v, dict), "an object")
+            models[name] = tuple(_field(model, k, _is_number, "a finite number", f"{name}.")
+                                 for k in "ab")
         return cls(
-            mu_model=(doc["mu"]["a"], doc["mu"]["b"]),
-            sigma_model=(doc["sigma"]["a"], doc["sigma"]["b"]),
-            fit_grid=tuple(doc.get("grid", ())),
-            trials_per_n=doc.get("trials", 0),
-            seed=doc.get("seed"),
+            mu_model=models["mu"],
+            sigma_model=models["sigma"],
+            fit_grid=tuple(_field(doc, "grid", _is_int_list, "a list of integers", default=())),
+            trials_per_n=_field(doc, "trials", _is_int, "an integer", default=0),
+            seed=_field(doc, "seed", lambda v: v is None or _is_int(v), "an integer or null",
+                        default=None),
         )
+
+
+_REQUIRED = object()
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_int_list(v) -> bool:
+    return isinstance(v, list) and all(map(_is_int, v))
+
+
+def _is_number(v) -> bool:
+    return (_is_int(v) or isinstance(v, float)) and math.isfinite(v)
+
+
+def _field(obj: dict, key: str, valid, what: str, prefix: str = "", default=_REQUIRED):
+    """obj[key] of a calibration curve's JSON form if `valid`, else
+    InvalidInput naming the field; a missing field gives `default` unless
+    it is required."""
+    if key not in obj:
+        if default is _REQUIRED:
+            raise InvalidInput(f"calibration curve has no field {prefix + key!r}")
+        return default
+    value = obj[key]
+    if not valid(value):
+        raise InvalidInput(
+            f"calibration curve field {prefix + key!r} must be {what}, got {value!r}")
+    return value
 
 
 #: Curve constants reported by the original large independence study.

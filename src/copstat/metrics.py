@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .copula_core import _dominance_counts, _ranked, as_sample
+from .copula_core import _ranked, _trace_counts, as_sample
 # pseudo_observations stays importable from this module because perfbench's
 # tracer swaps it here
 from .copula_core import pseudo_observations  # noqa: F401
@@ -51,12 +51,14 @@ def kendall_mv(sample) -> float:
     form: self-counts excluded, normalized by n(n-1)).  For d = 2 this is
     exactly the classical concordance estimator; the naive 1/n-weighted
     average would be biased by (3 - tau)/n.  The copula mass is the exact
-    integer total of `dominance_counts`, O(d n^2 / 64) word operations.
+    integer total of the dominance counts, as `copula_statistic` takes
+    them: O(n log n) for two columns and n >= _MERGE_MIN_N, else O(d n^2 /
+    64) word operations.
     """
     s = as_sample(sample)
     n, d = s.n, s.d
-    _, pos = _ranked(s.data[None])
-    total = int(_dominance_counts(pos, pos).sum())  # ordinal ranks have no ties
+    order, pos = _ranked(s.data[None])
+    total = int(_trace_counts(order, pos, 0).sum())
     mean_c = (total - n) / (n * (n - 1))
     return (2.0**d * mean_c - 1.0) / (2.0 ** (d - 1) - 1.0)
 

@@ -32,6 +32,7 @@ from .copula_core import (  # noqa: F401
     _observations,
     _ranked,
     _tied_ranks,
+    _trace_counts,
     as_sample,
     pseudo_observations,
     relative_distance,
@@ -149,13 +150,6 @@ class CosReport:
                    for f in fields(self))
 
 
-def _sorted_trace(pos, row, by_axis) -> np.ndarray:
-    """Trace values (T, n) of each sample of a stack, from the `pos` and
-    `row` arrays of `_dominance_counts` and the trace order `by_axis`."""
-    counts = _dominance_counts(pos, row)
-    return np.take_along_axis(counts, by_axis, axis=1) / pos.shape[2]
-
-
 def copula_trace(ps: PseudoSample, sort_axis: int = 0) -> Trace:
     """Evaluate the empirical copula at every sample point, sorted by one axis.
 
@@ -167,9 +161,9 @@ def copula_trace(ps: PseudoSample, sort_axis: int = 0) -> Trace:
     if not 0 <= sort_axis < ps.d:
         raise InvalidInput(f"sort_axis {sort_axis} out of range for d={ps.d}")
     order, pos, row = _tied_ranks(ps.u[None])
-    by_axis = order[:, sort_axis]
-    values = _sorted_trace(pos, row, by_axis)
-    return Trace(points=ps.u[by_axis[0]], values=values[0], order=by_axis[0])
+    by_axis = order[0, sort_axis]
+    values = _dominance_counts(pos, row)[0, by_axis] / ps.n
+    return Trace(points=ps.u[by_axis], values=values, order=by_axis)
 
 
 def _trace_values(trace) -> np.ndarray:
@@ -299,12 +293,11 @@ def _scored(x: np.ndarray, sort_axis: int) -> tuple[np.ndarray, ...]:
     order, pos = _ranked(x)
     if not 0 <= sort_axis < d:
         raise InvalidInput(f"sort_axis {sort_axis} out of range for d={d}")
-    by_axis = order[:, sort_axis]
-    s = _sorted_trace(pos, pos, by_axis)  # ordinal ranks have no ties
+    s = _trace_counts(order, pos, sort_axis) / n
     trace_id, start, end, rising, argmin, argmax = _runs(s)
     n_points = end - start + 1
     lo_min, lo_max = _optima(s, trace_id, end, n_points, rising, n)
-    values, rows = s.ravel(), by_axis.ravel()  # sample row of each trace index
+    values, rows = s.ravel(), order[:, sort_axis].ravel()  # sample row of each trace index
     at_min, at_max = trace_id * n + argmin, trace_id * n + argmax
     # the pseudo-observations of the runs' extreme points, (pos + 1) / n
     p_min = (pos[trace_id, :, rows[at_min]] + 1) / n
@@ -326,10 +319,11 @@ def _cos_batch(x) -> np.ndarray:
 def copula_statistic(sample, sort_axis: int = 0) -> CosReport:
     """Compute the copula statistic of an n-by-d sample.
 
-    The trace is sorted on `sort_axis` (column 0 by default).  Runtime is
-    O(d n^2 / 64) word operations, as the trace counts every point's
-    dominated points with 64-point bitsets in tables of O(n) words; scoring
-    the runs is O(n) array work.  The result is deterministic in the input:
+    The trace is sorted on `sort_axis` (column 0 by default).  It counts
+    every point's dominated points: by merge levels in O(n log n) for two
+    columns and n >= _MERGE_MIN_N, else with 64-point bitsets in O(d n^2 /
+    64) word operations and tables of O(n) words.  Scoring the runs is
+    O(n) array work.  The result is deterministic in the input:
     it is `_scored`'s stack of one, bit-identical to `_cos_batch`.  The
     report keeps the runs as arrays; reading `report.domains` builds their
     DomainRecords, which no part of the statistic needs.

@@ -289,3 +289,44 @@ def naive_score_matrix(matrix, true_edges):
     ys = np.array([p[1] for p in roc])
     auc = float(np.trapezoid(ys, xs)) if neg else 1.0
     return tuple(roc), auc, f_max, t_at_fmax
+
+
+def loop_read_csv(path):
+    """copstat.cli.read_csv one row at a time: each row is checked and
+    converted with float() cell by cell."""
+    import csv
+    import sys
+
+    from copstat import CopstatError
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise CopstatError(f"{path}: empty file") from None
+        rows = []
+        dropped = 0
+        for lineno, row in enumerate(reader, start=2):
+            if all(not c.strip() for c in row):
+                continue
+            if len(row) != len(header):
+                raise CopstatError(
+                    f"{path}: row {lineno} has {len(row)} cells, header has {len(header)}")
+            if any(not c.strip() for c in row):
+                dropped += 1
+                continue
+            values = []
+            for col, cell in zip(header, row):
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise CopstatError(
+                        f"{path}: row {lineno}, column {col!r}: cannot parse {cell.strip()!r}"
+                    ) from None
+            rows.append(values)
+    if dropped:
+        print(f"warning: dropped {dropped} row(s) with missing values", file=sys.stderr)
+    if not rows:
+        raise CopstatError(f"{path}: no usable data rows")
+    return header, np.array(rows, dtype=float)

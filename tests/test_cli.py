@@ -1,15 +1,19 @@
 """Command-line interface: parsing, dispatch, file round-trips, exit codes."""
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
 from copstat import CalibrationCurve, CopstatError, copula_statistic, run_power
 from copstat.cli import main, read_csv
+from copstat.statistic import DomainRecord
 
-from oracles import loop_dependence_matrix, naive_score_matrix
+from oracles import loop_dependence_matrix, loop_read_csv, naive_score_matrix
+
+
+DOMAIN_FIELDS = [f.name for f in fields(DomainRecord)]
 
 
 def write(path, text):
@@ -29,7 +33,7 @@ class TestCos:
         doc = json.loads(capsys.readouterr().out)
         assert doc["cos"] == 1.0
         assert doc["n"] == 40 and doc["d"] == 2 and doc["m"] == 1
-        assert doc["domains"][0]["gamma"] == 1.0
+        assert doc["domains"]["gamma"] == [1.0]
 
     def test_column_selection_by_name_and_index(self, tmp_path, capsys):
         path = write(tmp_path / "t.csv", "a,b,c\n1,9,1\n2,8,4\n3,7,9\n4,6,16\n")
@@ -68,7 +72,12 @@ class TestCos:
         doc = json.loads(capsys.readouterr().out)
         report = copula_statistic(data)
         assert report.m > 10
-        assert doc["domains"] == [asdict(r) for r in report.domains]
+        domains = doc["domains"]
+        assert list(domains) == DOMAIN_FIELDS
+        assert domains == dict(zip(DOMAIN_FIELDS, report.domain_columns()))
+        # the README's one line that turns the columns back into records
+        assert [dict(zip(domains, r)) for r in zip(*domains.values())] == [
+            asdict(r) for r in report.domains]
 
     def test_writes_one_line_of_json(self, tmp_path, capsys):
         rng = np.random.default_rng(12)
@@ -81,7 +90,8 @@ class TestCos:
         report = copula_statistic(data)
         assert json.loads(out) == {
             "cos": report.cos, "n": 200, "d": 2, "m": report.m, "sort_axis": 0,
-            "columns": ["a", "b"], "domains": [asdict(r) for r in report.domains],
+            "columns": ["a", "b"],
+            "domains": dict(zip(DOMAIN_FIELDS, report.domain_columns())),
         }
 
     def test_format_option_rejected(self, comono_csv, capsys):
@@ -140,6 +150,59 @@ class TestReadCsv:
         assert np.array_equal(data, want, equal_nan=True)
         with pytest.raises(CopstatError, match="cannot parse '0x1p3'"):
             read_csv(write(tmp_path / "g.csv", "x,y\n" + ",".join(cells[3]) + "\n"))
+
+
+#: name -> file text: inputs on which read_csv must behave as the loop does
+CSV_CASES = {
+    "plain": "x,y\n1,2\n3.5,-4e-3\n",
+    "whitespace": "x , y\n 1 , 2\t\n\t3,4 \n",
+    "underscores": "x,y\n1_000,2\n3,4_5.0_1\n",
+    "unicode_digits": "x,y\n\u0661\u0662,\u0663\n\uff14,5\n",
+    "quoted": 'x,y\n"1","2"\n" 3.5 ",4\n',
+    "quoted_comma": 'x,y\n"1,5",2\n3,4\n',
+    "nan_inf": "x,y\nnan,inf\n-Infinity,NaN\n1,-0.0\n",
+    "float_repr": "x,y\n0.1000000000000000055511151231257827,1e-400\n4.9e-324,1e308\n",
+    "blank_lines": "x,y\n\n1,2\n\n3,4\n\n\n",
+    "blank_cells_rows": "x,y\n1,2\n , \n,\n3,4\n",
+    "missing_cell": "x,y\n1,\n3,4\n5,6\n",
+    "missing_and_bad": "x,y,z\n1,,3\n,zap,3\n4,5,6\n",
+    "ragged_short": "x,y\n1,2\n3\n",
+    "ragged_long": "x,y\n1,2\n3,4,\n",
+    "all_rows_wide": "x,y\n1,2,3\n4,5,6\n",
+    "bad_cell": "x,y\n1,2\n3,zap\n",
+    "hex_cell": "x,y\n1,2\n0x1p3,4\n",
+    "header_only": "x,y\n",
+    "only_blank_rows": "x,y\n\n , \n",
+    "all_rows_missing": "x,y\n1,\n,2\n",
+    "single_column": "x\n1\n2\n3\n",
+    "empty_header": "\n1,2\n",
+    "empty_file": "",
+}
+
+
+def _outcome(read, path, capsys):
+    """(header, array bytes and shape, or the error), and stderr."""
+    try:
+        header, data = read(path)
+        result = (header, data.shape, data.dtype, data.tobytes())
+    except CopstatError as exc:
+        result = str(exc)
+    return result, capsys.readouterr().err
+
+
+class TestReadCsvMatchesRowLoop:
+    @pytest.mark.parametrize("case", sorted(CSV_CASES))
+    def test_same_array_warning_and_error(self, case, tmp_path, capsys):
+        path = write(tmp_path / f"{case}.csv", CSV_CASES[case])
+        assert _outcome(read_csv, path, capsys) == _outcome(loop_read_csv, path, capsys)
+
+    def test_large_file(self, tmp_path, capsys):
+        data = np.random.default_rng(5).normal(size=(3000, 3)) * 1e3
+        path = tmp_path / "big.csv"
+        np.savetxt(path, data, fmt="%.17g", delimiter=",", header="a,b,c", comments="")
+        got = _outcome(read_csv, str(path), capsys)
+        assert got == _outcome(loop_read_csv, str(path), capsys)
+        assert got[0][3] == data.tobytes()
 
 
 class TestReturns:
@@ -230,6 +293,29 @@ class TestItestAndCalibrate:
         assert curve.mu_model[1] < 0
         assert main(["itest", comono_csv, "--curve", curve_path]) == 0
         assert json.loads(capsys.readouterr().out)["decision"] == "dependent"
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"sigma": {"a": 0.5, "b": -0.5}}', "no field 'mu'"),
+        ('{"mu": {"a": 3}, "sigma": {"a": 0.5, "b": -0.5}}', "no field 'mu.b'"),
+        ("not json", "not JSON"),
+        ('{"mu": {"a": "x", "b": -0.5}, "sigma": {"a": 0.5, "b": -0.5}}',
+         "'mu.a' must be a finite number"),
+        ('{"mu": [3, -0.5], "sigma": {"a": 0.5, "b": -0.5}}', "'mu' must be an object"),
+        ('{"mu": {"a": 3, "b": -0.5}, "sigma": {"a": 0.5, "b": NaN}}',
+         "'sigma.b' must be a finite number"),
+        ('{"mu": {"a": 3, "b": -0.5}, "sigma": {"a": 0.5, "b": -0.5}, "grid": "50"}',
+         "'grid' must be a list of integers"),
+        ('{"mu": {"a": 3, "b": -0.5}, "sigma": {"a": 0.5, "b": -0.5}, "trials": true}',
+         "'trials' must be an integer"),
+        ('{"mu": {"a": 3, "b": -0.5}, "sigma": {"a": 0.5, "b": -0.5}, "seed": "0"}',
+         "'seed' must be an integer or null"),
+        ("[1, 2]", "must be a JSON object"),
+    ])
+    def test_malformed_curve_exits_2_naming_the_field(self, text, message, tmp_path, capsys,
+                                                     comono_csv):
+        curve = write(tmp_path / "curve.json", text)
+        assert main(["itest", comono_csv, "--curve", curve]) == 2
+        assert message in capsys.readouterr().err
 
     def test_calibrate_invalid_grid_exits_2(self, capsys):
         assert main(["calibrate", "--grid", "10,20", "--trials", "200"]) == 2

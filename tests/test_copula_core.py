@@ -220,6 +220,63 @@ class TestDominanceCounts:
             assert dominance_counts(ps).tolist() == _naive_counts(ps)
 
 
+def _bivariate(kind, T, n, rng):
+    """A (T, n, 2) stack: independent, comonotone or countermonotone."""
+    x = rng.random((T, n, 2))
+    if kind == "comonotone":
+        x[..., 1] = x[..., 0] ** 3
+    elif kind == "countermonotone":
+        x[..., 1] = -x[..., 0]
+    return x
+
+
+def _kernel_trace_counts(order, pos, sort_axis):
+    counts = copula_core._dominance_counts(pos, pos)
+    return np.take_along_axis(counts, order[:, sort_axis], axis=1)
+
+
+class TestTraceCounts:
+    CROSSOVER = copula_core._MERGE_MIN_N
+
+    @pytest.mark.parametrize("kind", ["independent", "comonotone", "countermonotone"])
+    @pytest.mark.parametrize("T,n", [(1, CROSSOVER - 1), (1, CROSSOVER), (2, CROSSOVER + 37),
+                                     (1, 5000)])
+    def test_equal_the_kernel_across_the_crossover(self, T, n, kind, monkeypatch):
+        order, pos = copula_core._ranked(_bivariate(kind, T, n, np.random.default_rng(n)))
+        merges = []
+        merge_counts = copula_core._merge_counts
+        monkeypatch.setattr(copula_core, "_merge_counts",
+                            lambda r: merges.append(r.shape) or merge_counts(r))
+        for axis in (0, 1):
+            counts = copula_core._trace_counts(order, pos, axis)
+            assert counts.dtype == np.int64
+            assert np.array_equal(counts, _kernel_trace_counts(order, pos, axis))
+        assert merges == ([(T, n)] * 2 if n >= self.CROSSOVER else [])
+
+    def test_kernel_serves_more_than_two_columns(self, monkeypatch):
+        monkeypatch.setattr(copula_core, "_MERGE_MIN_N", 2)
+        monkeypatch.setattr(copula_core, "_merge_counts", None)  # never called
+        order, pos = copula_core._ranked(np.random.default_rng(3).random((2, 50, 3)))
+        for axis in range(3):
+            got = copula_core._trace_counts(order, pos, axis)
+            assert np.array_equal(got, _kernel_trace_counts(order, pos, axis))
+
+    @given(st.integers(1, 3), st.integers(2, 70), st.integers(0, 1),
+           st.sampled_from(["independent", "comonotone", "countermonotone"]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_merge_levels_match_naive_count(self, T, n, axis, kind, seed):
+        x = _bivariate(kind, T, n, np.random.default_rng(seed))
+        order, pos = copula_core._ranked(x)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(copula_core, "_MERGE_MIN_N", 2)
+            counts = copula_core._trace_counts(order, pos, axis)
+        for t in range(T):
+            rows = ((pos[t].T + 1) / n).tolist()
+            want = [naive_copula_count(rows, rows[i]) for i in order[t, axis]]
+            assert counts[t].tolist() == want
+
+
 class TestEnvelopes:
     def test_upper(self):
         assert frechet_upper([0.3, 0.7]) == pytest.approx(0.3)

@@ -200,6 +200,18 @@ class TestScoreMatrix:
         with pytest.raises(InvalidInput, match="NaN or Inf"):
             score_matrix(m, [(0, 1)])
 
+    def test_rejects_asymmetric_matrix(self):
+        # read from i < j alone, this matrix scored AUC 1.0 and its
+        # transpose AUC 0.0
+        m = np.array([[0.0, 0.9, 0.1], [0.1, 0.0, 0.8], [0.9, 0.2, 0.0]])
+        for bad in (m, m.T):
+            with pytest.raises(InvalidInput, match="must be symmetric"):
+                score_matrix(bad, [(0, 1)])
+
+    def test_signed_zeros_count_as_symmetric(self):
+        m = np.array([[0.0, -0.0, 0.9], [0.0, 0.0, 0.5], [0.9, 0.5, 0.0]])
+        assert score_matrix(m, [(0, 2)]).auc == 1.0
+
     @staticmethod
     def assert_matches_naive(m, edges):
         score = score_matrix(m, edges)
@@ -227,6 +239,9 @@ class TestScoreMatrix:
     def test_property_matches_threshold_loop(self, case):
         values, edges, g = case
         m = np.array(values).reshape(g, g)
+        # mirror the upper triangle, -0.0 entries included: score_matrix
+        # takes only symmetric matrices
+        m = np.where(np.triu(np.ones((g, g), dtype=bool)), m, m.T)
         self.assert_matches_naive(m, sorted(edges))
 
 

@@ -23,6 +23,7 @@ from copstat import (
     sample_gaussian_copula,
     spearman,
 )
+from copstat import copula_core
 
 from oracles import kendall_tau_pairs, naive_kendall_mv
 
@@ -114,6 +115,16 @@ class TestKendallMv:
         rng = np.random.default_rng(10)
         x, y = rng.normal(size=60), rng.normal(size=60)
         assert kendall_mv(cols(x, y)) == kendall_mv(cols(np.exp(x), y**3))
+
+    def test_merge_levels_give_the_kernels_value(self, monkeypatch):
+        n = copula_core._MERGE_MIN_N + 100
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=n)
+        samples = [cols(x, rng.normal(size=n)), cols(x, x + rng.normal(size=n)), cols(x, -x)]
+        merged = [kendall_mv(s) for s in samples]
+        monkeypatch.setattr(copula_core, "_MERGE_MIN_N", n + 1)
+        assert [v.hex() for v in merged] == [kendall_mv(s).hex() for s in samples]
+        assert merged[2] == -1.0
 
 
 class TestDcor:

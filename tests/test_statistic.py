@@ -385,6 +385,30 @@ def _loop_cos(x):
     return [copula_statistic(Sample(sample)).cos.hex() for sample in x]
 
 
+class TestLargeBivariate:
+    """Above the crossover the trace counts come from merge levels; every
+    report field must equal the bitset kernel's."""
+
+    @pytest.mark.parametrize("n", [5000, 20000])
+    def test_reports_equal_the_bitset_path(self, n, monkeypatch):
+        assert n >= copula_core._MERGE_MIN_N
+        rng = np.random.default_rng(n)
+        x = rng.random(n)
+        cases = {
+            "independent": rng.random((n, 2)),
+            "noisy_sine": np.column_stack([x, np.sin(9 * x) + 0.3 * rng.normal(size=n)]),
+            "countermonotone": np.column_stack([x, -x]),
+        }
+        for axis in (0, 1):
+            merged = [copula_statistic(data, axis) for data in cases.values()]
+            with monkeypatch.context() as mp:
+                mp.setattr(copula_core, "_MERGE_MIN_N", n + 1)
+                kernel = [copula_statistic(data, axis) for data in cases.values()]
+            for name, got, want in zip(cases, merged, kernel):
+                assert got.cos.hex() == want.cos.hex(), (name, axis)
+                assert got.m == want.m and got == want, (name, axis)
+
+
 class TestCosBatch:
     @pytest.mark.parametrize("words", [1, 7, None])
     @pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 200])
