@@ -8,6 +8,7 @@ failure.  All randomized subcommands are deterministic given --seed.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from dataclasses import asdict, fields
@@ -42,16 +43,13 @@ def read_csv(path):
     """Read a headered numeric CSV; fully blank rows are skipped, rows with
     empty cells are dropped with a warning, and non-numeric cells or rows
     of the wrong width abort with the offending row (and column)."""
-    import csv
-
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CopstatError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        rows = list(reader)
+    reader = _csv_rows(path)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise CopstatError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    rows = list(reader)
     # numpy converts str cells with float(), so when every row with a
     # non-empty cell parses whole, at the header's width, one call reads the
     # file as the row loop would; a row of whitespace cells fails float()
@@ -64,6 +62,24 @@ def read_csv(path):
     except ValueError:
         pass
     return header, _parse_rows(path, header, rows)
+
+
+def _read_text(path) -> str:
+    """The file at `path` decoded as UTF-8, newlines untranslated; a file
+    that is not UTF-8 raises CopstatError naming it and its first bad byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CopstatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
+def _csv_rows(path):
+    """A csv reader over the rows of the UTF-8 file at `path`."""
+    import csv  # on first use: importing copstat.cli leaves it unloaded
+
+    return csv.reader(io.StringIO(_read_text(path), newline=""))
 
 
 def _parse_rows(path, header, rows) -> np.ndarray:
@@ -134,15 +150,7 @@ def write_csv(path, header, rows):
 def emit_json(path, payload):
     """Write `payload` as one line of compact JSON."""
     # no indent: json only uses its C encoder when indent is None
-    _write(path, json.dumps(payload, separators=(",", ":"), default=_jsonable) + "\n")
-
-
-def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
+    _write(path, json.dumps(payload, separators=(",", ":")) + "\n")
 
 
 # ---------------------------------------------------------------- commands
@@ -172,8 +180,7 @@ def cmd_cos(args) -> int:
 def _load_curve(path) -> CalibrationCurve:
     if not path:
         return DEFAULT_NULL_CURVE
-    with open(path, encoding="utf-8") as fh:
-        return CalibrationCurve.from_json(fh.read())
+    return CalibrationCurve.from_json(_read_text(path))
 
 
 def cmd_itest(args) -> int:
@@ -185,16 +192,13 @@ def cmd_itest(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    grid = [int(v) for v in args.grid.split(",")] if args.grid else list(DEFAULT_GRID)
-    curve = calibrate_null(grid, args.trials, args.seed)
+    curve = calibrate_null(args.grid, args.trials, args.seed)
     _write(args.out, curve.to_json() + "\n")
     return 0
 
 
 def cmd_bias(args) -> int:
-    sources = [s.strip() for s in args.sources.split(",")]
-    grid = [int(v) for v in args.grid.split(",")]
-    rows = run_bias_table(sources, grid, args.trials, args.seed)
+    rows = run_bias_table(args.sources, args.grid, args.trials, args.seed)
     if args.format == "json":
         emit_json(args.out, [asdict(r) for r in rows])
     else:
@@ -204,9 +208,8 @@ def cmd_bias(args) -> int:
 
 
 def cmd_power(args) -> int:
-    p_grid = [float(v) for v in args.p_grid.split(",")]
     spec = DependencySpec(kind=args.dep, freq=args.freq, noise_mode="additive")
-    curve = run_power(spec, args.metric, args.trials, args.n, args.alpha, p_grid, args.seed)
+    curve = run_power(spec, args.metric, args.trials, args.n, args.alpha, args.p_grid, args.seed)
     if args.format == "csv":
         write_csv(args.out, ["p", "power"], list(zip(curve.p_grid, curve.power)))
     else:
@@ -215,9 +218,7 @@ def cmd_power(args) -> int:
 
 
 def cmd_equitability(args) -> int:
-    fn_ids = [int(v) for v in args.functions.split(",")]
-    r2_grid = [float(v) for v in args.r2_grid.split(",")]
-    res = run_equitability(fn_ids, r2_grid, args.n, args.reps, args.seed)
+    res = run_equitability(args.functions, args.r2_grid, args.n, args.reps, args.seed)
     if args.format == "csv":
         rows = []
         for fid in res.function_ids:
@@ -239,15 +240,11 @@ def _write_sample_csv(sample: Sample, out, sidecar: dict | None) -> None:
 
 
 def cmd_gen(args) -> int:
-    x_range = None
-    if args.x_range:
-        lo, hi = (float(v) for v in args.x_range.split(","))
-        x_range = (lo, hi)
     spec = DependencySpec(
         kind=args.kind,
         p=args.p,
         noise_mode=args.mode,
-        x_range=x_range,
+        x_range=args.x_range,
         freq=args.freq,
         fn_id=args.fn_id,
         r2=args.r2,
@@ -255,7 +252,7 @@ def cmd_gen(args) -> int:
     sample = gen_dependency(spec, args.n, derive_rng(args.seed, "gen", args.kind))
     _write_sample_csv(sample, args.out, {
         "command": "gen", "kind": args.kind, "p": args.p, "mode": args.mode,
-        "x_range": x_range, "freq": args.freq, "fn_id": args.fn_id,
+        "x_range": args.x_range, "freq": args.freq, "fn_id": args.fn_id,
         "r2": args.r2, "n": args.n, "seed": args.seed,
     })
     return 0
@@ -293,20 +290,17 @@ def cmd_netscore(args) -> int:
 
 
 def _read_edges(path):
-    import csv
-
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 2:
-            raise CopstatError(f"{path}: edge list needs two name columns")
-        rows = []
-        for row in reader:
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) < 2:
-                raise CopstatError(f"{path}: malformed edge row {row!r}")
-            rows.append((row[0].strip(), row[1].strip()))
+    reader = _csv_rows(path)
+    header = next(reader, None)
+    if header is None or len(header) < 2:
+        raise CopstatError(f"{path}: edge list needs two name columns")
+    rows = []
+    for row in reader:
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) < 2:
+            raise CopstatError(f"{path}: malformed edge row {row!r}")
+        rows.append((row[0].strip(), row[1].strip()))
     if not rows:
         raise CopstatError(f"{path}: no edges")
     return rows
@@ -322,6 +316,20 @@ def cmd_returns(args) -> int:
 
 
 # ---------------------------------------------------------------- parser
+
+
+def _comma_list(convert, length: int | None = None):
+    """An argparse type: comma-separated values, each read by `convert`,
+    as a list, or as a tuple when exactly `length` are required.  argparse
+    turns a bad value's ValueError into an error naming the flag, exit 2."""
+    def parse(text: str):
+        values = [convert(v) for v in text.split(",")]
+        if length is not None and len(values) != length:
+            raise ValueError(text)
+        return values if length is None else tuple(values)
+    count = f"{length}-" if length else ""
+    parse.__name__ = f"comma-separated {count}{convert.__name__}"  # argparse's name for it
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,14 +362,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_itest)
 
     p = sub.add_parser("calibrate", help="fit null calibration curves")
-    p.add_argument("--grid", default=None, help="comma-separated sample sizes")
+    p.add_argument("--grid", type=_comma_list(int), default=DEFAULT_GRID,
+                   help="comma-separated sample sizes")
     p.add_argument("--trials", type=int, default=500)
     common(p, seed=True)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("bias", help="null/functional bias table")
-    p.add_argument("--sources", default="indep", help="e.g. 'gauss:0,gumbel:1,sin:5'")
-    p.add_argument("--grid", default="100,500,1000")
+    p.add_argument("--sources", type=_comma_list(str.strip), default="indep",
+                   help="e.g. 'gauss:0,gumbel:1,sin:5'")
+    p.add_argument("--grid", type=_comma_list(int), default="100,500,1000")
     p.add_argument("--trials", type=int, default=500)
     common(p, seed=True, fmt=True)
     p.set_defaults(func=cmd_bias)
@@ -372,14 +382,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", "--N", dest="trials", type=int, default=500)
     p.add_argument("--n", type=int, default=500)
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--p-grid", default="0.1,0.5,1,2,3")
+    p.add_argument("--p-grid", type=_comma_list(float), default="0.1,0.5,1,2,3")
     p.add_argument("--freq", type=float, default=1.0)
     common(p, seed=True, fmt=True)
     p.set_defaults(func=cmd_power)
 
     p = sub.add_parser("equitability", help="R^2 equitability scan")
-    p.add_argument("--functions", default="1,2,3,4,5,6,7,8,9,10")
-    p.add_argument("--r2-grid", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
+    p.add_argument("--functions", type=_comma_list(int), default="1,2,3,4,5,6,7,8,9,10")
+    p.add_argument("--r2-grid", type=_comma_list(float),
+                   default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
     p.add_argument("--n", type=int, default=500)
     p.add_argument("--reps", type=int, default=30)
     common(p, seed=True, fmt=True)
@@ -389,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", default="linear")
     p.add_argument("--p", type=float, default=0.0)
     p.add_argument("--mode", default="additive", choices=NOISE_MODES)
-    p.add_argument("--x-range", default=None, help="e.g. '-5,5'")
+    p.add_argument("--x-range", type=_comma_list(float, 2), default=None, help="e.g. '-5,5'")
     p.add_argument("--freq", type=float, default=1.0)
     p.add_argument("--fn-id", type=int, default=1)
     p.add_argument("--r2", type=float, default=None)

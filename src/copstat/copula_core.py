@@ -39,8 +39,9 @@ _EVAL_BLOCK_CELLS = 8_000_000
 # against 87 ms at n = 20000 (best of 25, 2-core x86 host).
 _MERGE_MIN_N = 1100
 
-# uint64 words per prefix table in dominance_counts (~4 MB).  Tables that
-# fit in cache are also faster: at n = 20000, d = 2 an 8M-word budget took
+# uint64 words per prefix table in dominance_counts (~4 MB), one table
+# covering one column of every sample of a stack.  Tables that fit in
+# cache are also faster: at n = 20000, d = 2 an 8M-word budget took
 # about twice as long (207 vs 105 ms on a 2-core x86 host).
 _PREFIX_TABLE_WORDS = 500_000
 
@@ -161,21 +162,18 @@ def _ranked(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, _positions(order)
 
 
-def _tied_ranks(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(order, pos, row) of each column of each (T, n, d) stack of values
-    that may hold ties, each shaped (T, d, n): the stable sorting order,
-    each point's position in it, and the position of the last point
-    sharing its value, which `_dominance_counts` takes as its row."""
-    n = u.shape[1]
-    columns = u.transpose(0, 2, 1)
-    order = np.argsort(columns, axis=2, kind="stable")
-    pos = _positions(order)
-    ranked = np.take_along_axis(columns, order, axis=2)
-    is_last = np.ones(ranked.shape, dtype=bool)
-    is_last[..., :-1] = ranked[..., 1:] != ranked[..., :-1]
-    last = np.where(is_last, np.arange(n), n)[..., ::-1]
-    last = np.minimum.accumulate(last, axis=2)[..., ::-1]
-    return order, pos, np.take_along_axis(last, pos, axis=2)
+def _tie_bounds(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, left, right) of each column of an (n, d) array of values
+    that may hold ties, each shaped (d, n): the stable sorting order, and
+    each point's `searchsorted` bounds in its sorted column, so `left`
+    points lie below it and `right` at or below it."""
+    order = np.argsort(u, axis=0, kind="stable").T
+    left, right = np.empty_like(order), np.empty_like(order)
+    for k, column in enumerate(u.T):
+        ranked = column[order[k]]
+        left[k] = ranked.searchsorted(column, "left")
+        right[k] = ranked.searchsorted(column, "right")
+    return order, left, right
 
 
 def pseudo_observations(sample) -> PseudoSample:
@@ -255,49 +253,46 @@ def dominance_counts(ps: PseudoSample) -> np.ndarray:
     Returns int64 counts in row order, in O(d n^2 / 64) word operations;
     see `_dominance_counts`.
     """
-    _, pos, row = _tied_ranks(ps.u[None])
-    return _dominance_counts(pos, row)[0]
+    order, _, right = _tie_bounds(ps.u)
+    return _dominance_counts(_positions(order)[None], right[None] - 1)[0]
 
 
 def _dominance_counts(pos: np.ndarray, row: np.ndarray) -> np.ndarray:
     """`dominance_counts` of each sample of a (T, n, d) stack, shape (T, n),
-    from the (T, d, n) arrays `_tied_ranks` gives: `pos`, each point's
-    position in its column's stable sorted order, and `row`, the position
-    of the last point sharing its value (`pos` itself where a column has
-    no ties, as in `_ranked`'s ordinal ranks).
+    from two (T, d, n) arrays: `pos`, each point's position in its column's
+    stable sorted order, and `row`, the position of the last point sharing
+    its value (`pos` itself where a column has no ties, as in `_ranked`'s
+    ordinal ranks).
 
     Per sample and column, row t of a prefix table is the bitset of the
     first t + 1 points in stable sorted order, so point j's set of points
     at or below it in that column is the row of the last point sharing its
     value; AND-ing its d rows and counting bits gives its count.  Points
-    are tiled by 64-bit word and samples by block so that each table
-    holds at most _PREFIX_TABLE_WORDS words, or n words (one sample, one
-    word per row) when n is larger.
+    are tiled by 64-bit word so that the tables of the whole stack hold at
+    most _PREFIX_TABLE_WORDS words, or T * n words (one word per row) when
+    that is more.
     """
     T, d, n = pos.shape
     point = np.arange(n)
     bit = np.left_shift(np.uint64(1), (point % 64).astype(np.uint64))
     words = -(-n // 64)
-    tile = max(1, min(words, _PREFIX_TABLE_WORDS // n))
-    block = max(1, _PREFIX_TABLE_WORDS // (n * tile))
+    tile = max(1, min(words, _PREFIX_TABLE_WORDS // (T * n)))
+    sample = np.arange(T)[:, None]
     counts = np.zeros((T, n), dtype=np.int64)
-    for t0 in range(0, T, block):
-        t1 = min(t0 + block, T)
-        sample = np.arange(t1 - t0)[:, None]
-        for w0 in range(0, words, tile):
-            w1 = min(w0 + tile, words)
-            pts = point[64 * w0:64 * w1]
-            hit = None
-            for k in range(d):
-                table = np.zeros((t1 - t0, n, w1 - w0), dtype=np.uint64)
-                table[sample, pos[t0:t1, k, pts], pts // 64 - w0] = bit[pts]
-                np.bitwise_or.accumulate(table, axis=1, out=table)
-                below = table[sample, row[t0:t1, k]]
-                hit = below if hit is None else np.bitwise_and(hit, below, out=hit)
-            # one reduction over the words: sum(axis=2) reduces a short last
-            # axis point by point (125 vs 55 us on (32, 200, 4) words, 2-core
-            # x86 host)
-            counts[t0:t1] += np.einsum("...w->...", np.bitwise_count(hit), dtype=np.int64)
+    for w0 in range(0, words, tile):
+        w1 = min(w0 + tile, words)
+        pts = point[64 * w0:64 * w1]
+        hit = None
+        for k in range(d):
+            table = np.zeros((T, n, w1 - w0), dtype=np.uint64)
+            table[sample, pos[:, k, pts], pts // 64 - w0] = bit[pts]
+            np.bitwise_or.accumulate(table, axis=1, out=table)
+            below = table[sample, row[:, k]]
+            hit = below if hit is None else np.bitwise_and(hit, below, out=hit)
+        # one reduction over the words: sum(axis=2) reduces a short last
+        # axis point by point (125 vs 55 us on (32, 200, 4) words, 2-core
+        # x86 host)
+        counts += np.einsum("...w->...", np.bitwise_count(hit), dtype=np.int64)
     return counts
 
 

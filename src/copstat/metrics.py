@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .copula_core import _ranked, _trace_counts, as_sample
+from .copula_core import _ranked, _tie_bounds, _trace_counts, as_sample
 # pseudo_observations stays importable from this module because perfbench's
 # tracer swaps it here
 from .copula_core import pseudo_observations  # noqa: F401
@@ -32,14 +32,13 @@ def pearson(sample) -> float:
 
 
 def spearman(sample) -> float:
-    """Rank correlation: Pearson correlation of the rank-transformed columns."""
+    """Rank correlation: Pearson correlation of the columns' average ranks,
+    tied values sharing the mean of the ranks they span."""
     x, y = _two_columns(sample)
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise DegenerateMarginal("spearman undefined for a constant column")
-    from scipy.stats import rankdata  # imported here: it is most of `import copstat`
-
-    rx = rankdata(x)
-    ry = rankdata(y)
+    _, left, right = _tie_bounds(np.column_stack([x, y]))
+    rx, ry = (left + right + 1) / 2
     return float(np.corrcoef(rx, ry)[0, 1])
 
 

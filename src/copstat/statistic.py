@@ -28,12 +28,11 @@ import numpy as np
 # tracer swaps it here
 from .copula_core import (  # noqa: F401
     PseudoSample,
-    _dominance_counts,
     _observations,
     _ranked,
-    _tied_ranks,
     _trace_counts,
     as_sample,
+    dominance_counts,
     pseudo_observations,
     relative_distance,
 )
@@ -160,9 +159,8 @@ def copula_trace(ps: PseudoSample, sort_axis: int = 0) -> Trace:
     """
     if not 0 <= sort_axis < ps.d:
         raise InvalidInput(f"sort_axis {sort_axis} out of range for d={ps.d}")
-    order, pos, row = _tied_ranks(ps.u[None])
-    by_axis = order[0, sort_axis]
-    values = _dominance_counts(pos, row)[0, by_axis] / ps.n
+    by_axis = np.argsort(ps.u[:, sort_axis], kind="stable")
+    values = dominance_counts(ps)[by_axis] / ps.n
     return Trace(points=ps.u[by_axis], values=values, order=by_axis)
 
 
@@ -297,14 +295,12 @@ def _scored(x: np.ndarray, sort_axis: int) -> tuple[np.ndarray, ...]:
     trace_id, start, end, rising, argmin, argmax = _runs(s)
     n_points = end - start + 1
     lo_min, lo_max = _optima(s, trace_id, end, n_points, rising, n)
-    values, rows = s.ravel(), order[:, sort_axis].ravel()  # sample row of each trace index
-    at_min, at_max = trace_id * n + argmin, trace_id * n + argmax
-    # the pseudo-observations of the runs' extreme points, (pos + 1) / n
-    p_min = (pos[trace_id, :, rows[at_min]] + 1) / n
-    p_max = (pos[trace_id, :, rows[at_max]] + 1) / n
-    tol = 1.0 / (2 * n)
-    lam_min = relative_distance(values[at_min], p_min, tol)
-    lam_max = relative_distance(values[at_max], p_max, tol)
+    # one gather of the runs' extreme points, minima then maxima: their
+    # pseudo-observations (pos + 1) / n and copula values
+    at = trace_id * n + np.stack([argmin, argmax])
+    rows = order[:, sort_axis].ravel()[at]  # their sample rows
+    p = (pos[trace_id, :, rows] + 1) / n
+    lam_min, lam_max = relative_distance(s.ravel()[at], p, 1.0 / (2 * n))
     gamma = domain_gamma(lam_min, lam_max, lo_min | lo_max)
     cos = _weighted_means(trace_id, n_points, gamma, T, n)
     return cos, start, end, rising, lam_min, lam_max, gamma, lo_min, lo_max

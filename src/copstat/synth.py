@@ -45,23 +45,36 @@ RIPLEY_FORMS = {
     4: (129, 1, 2**64),
 }
 
-NOISE_MODES = ("multiplicative", "additive", "r2_additive")
-
-#: Default X ranges per dependency kind, chosen to match the ranges the
-#: experiment procedures draw from.
-DEFAULT_X_RANGE = {
-    "linear": (0.0, 1.0),
-    "quadratic": (0.0, 1.0),
-    "cubic": (0.0, 1.0),
-    "fourth_root": (0.0, 1.0),
-    "sinusoidal": (-1.0, 1.0),
-    "circular": (0.0, 1.0),
-    "fourth_poly": (-5.0, 5.0),
-    "cosine": (-5.0, 5.0),
-    "testfn": (0.0, 1.0),
+#: Dependency kind -> (default X range, shape y0 = f(spec, x, t)), t being
+#: x rescaled to [0, 1] over the spec's X range.  The ranges match the ones
+#: the experiment procedures draw from; circular has no shape, as
+#: `gen_dependency` draws it from an angle.
+_DEPENDENCIES = {
+    "linear": ((0.0, 1.0), lambda spec, x, t: 2.0 * x + 1.0),
+    "quadratic": ((0.0, 1.0), lambda spec, x, t: (x - 0.5 * sum(spec.effective_x_range)) ** 2),
+    "cubic": ((0.0, 1.0), lambda spec, x, t:
+              128.0 * (t - 1.0 / 3.0) ** 3 - 48.0 * (t - 1.0 / 3.0) ** 2 - 12.0 * (t - 1.0 / 3.0)),
+    "fourth_root": ((0.0, 1.0), lambda spec, x, t: t ** 0.25),
+    "sinusoidal": ((-1.0, 1.0), lambda spec, x, t: np.sin(spec.freq * x)),
+    "circular": ((0.0, 1.0), None),
+    "fourth_poly": ((-5.0, 5.0), lambda spec, x, t: (x**2 - 0.25) * (x**2 - 1.0)),
+    "cosine": ((-5.0, 5.0), lambda spec, x, t: np.cos(x)),
+    "testfn": ((0.0, 1.0), lambda spec, x, t: TEST_FUNCTIONS[spec.fn_id][1](t)),
 }
 
-DEPENDENCY_KINDS = tuple(DEFAULT_X_RANGE)
+DEPENDENCY_KINDS = tuple(_DEPENDENCIES)
+
+#: Noise mode -> noisy response y = g(spec, y0, eps) for standard normal
+#: eps: multiplicative, additive, or additive with the variance that makes
+#: the coefficient of determination spec.r2.
+_NOISE = {
+    "multiplicative": lambda spec, y0, eps: y0 * (1.0 + spec.p * eps),
+    "additive": lambda spec, y0, eps: y0 + spec.p * eps,
+    "r2_additive": lambda spec, y0, eps:
+        y0 + math.sqrt(float(np.var(y0)) * (1.0 / spec.r2 - 1.0)) * eps,
+}
+
+NOISE_MODES = tuple(_NOISE)
 
 
 def _label_entropy(label) -> int:
@@ -73,23 +86,26 @@ def _label_entropy(label) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _label_path(seed: int, labels) -> list[int]:
-    return [int(seed)] + [_label_entropy(l) for l in labels]
-
-
-def _words(value: int) -> list[int]:
-    """`value` as SeedSequence takes it in: little-endian uint32 words, [0] for 0."""
-    if value < 0:
-        raise ValueError("expected non-negative integer")
-    words = [value & 0xFFFFFFFF]
-    while value > 0xFFFFFFFF:
-        value >>= 32
+def _key(seed: int, *labels) -> list[int]:
+    """The uint32 words that key the stream of (seed, *labels): the seed
+    and each label's entropy as little-endian words, [0] for 0, which is
+    how SeedSequence reads a list of ints."""
+    words = []
+    for value in (int(seed), *map(_label_entropy, labels)):
+        if value < 0:
+            raise ValueError("expected non-negative integer")
         words.append(value & 0xFFFFFFFF)
+        while value > 0xFFFFFFFF:
+            value >>= 32
+            words.append(value & 0xFFFFFFFF)
     return words
 
 
-def _philox(entropy) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+def _philox(key: list[int]) -> np.random.Generator:
+    # SeedSequence takes a uint32 array as is, but converts a list of ints
+    # one int at a time, which took most of a trial's stream derivation
+    seq = np.random.SeedSequence(np.array(key, dtype=np.uint32))
+    return np.random.Generator(np.random.Philox(seq))
 
 
 def derive_rng(seed: int, *labels) -> np.random.Generator:
@@ -99,7 +115,7 @@ def derive_rng(seed: int, *labels) -> np.random.Generator:
     paths give statistically independent streams, so concurrent trials can
     each derive their own.
     """
-    return _philox(_label_path(seed, labels))
+    return _philox(_key(seed, *labels))
 
 
 #: Cells (samples x n x d) per block that _score_blocks hands to its
@@ -129,11 +145,8 @@ def mc_values(seed: int, labels, trials: int, draw, score) -> np.ndarray:
     derive_rng(seed, *labels, t), and `_score_blocks` scores them."""
     if trials < 1:
         raise InvalidParam(f"need at least 1 trial, got {trials}")
-    # SeedSequence takes a uint32 array as is, but converts a list of ints
-    # one int at a time, which took most of each trial's stream derivation
-    prefix = [w for value in _label_path(seed, labels) for w in _words(value)]
-    return _score_blocks((draw(_philox(np.array(prefix + _words(t), dtype=np.uint32)))
-                          for t in range(trials)), score)
+    prefix = _key(seed, *labels)
+    return _score_blocks((draw(_philox(prefix + _key(t))) for t in range(trials)), score)
 
 
 def sample_gaussian_copula(rho: float, n: int, rng: np.random.Generator) -> Sample:
@@ -252,42 +265,7 @@ class DependencySpec:
 
     @property
     def effective_x_range(self) -> tuple[float, float]:
-        return self.x_range if self.x_range is not None else DEFAULT_X_RANGE[self.kind]
-
-
-def _apply_f(spec: DependencySpec, x: np.ndarray) -> np.ndarray:
-    lo, hi = spec.effective_x_range
-    t = (x - lo) / (hi - lo)  # normalized coordinate for range-free shapes
-    if spec.kind == "linear":
-        return 2.0 * x + 1.0
-    if spec.kind == "quadratic":
-        mid = 0.5 * (lo + hi)
-        return (x - mid) ** 2
-    if spec.kind == "cubic":
-        s = t - 1.0 / 3.0
-        return 128.0 * s**3 - 48.0 * s**2 - 12.0 * s
-    if spec.kind == "fourth_root":
-        return t ** 0.25
-    if spec.kind == "sinusoidal":
-        return np.sin(spec.freq * x)
-    if spec.kind == "fourth_poly":
-        return (x**2 - 0.25) * (x**2 - 1.0)
-    if spec.kind == "cosine":
-        return np.cos(x)
-    if spec.kind == "testfn":
-        return TEST_FUNCTIONS[spec.fn_id][1](t)
-    raise InvalidParam(f"{spec.kind!r} has no closed functional form")
-
-
-def _add_noise(spec: DependencySpec, y0: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    eps = rng.standard_normal(y0.size)
-    if spec.noise_mode == "multiplicative":
-        return y0 * (1.0 + spec.p * eps)
-    if spec.noise_mode == "additive":
-        return y0 + spec.p * eps
-    var = float(np.var(y0))
-    sigma = math.sqrt(var * (1.0 / spec.r2 - 1.0))
-    return y0 + sigma * eps
+        return self.x_range if self.x_range is not None else _DEPENDENCIES[self.kind][0]
 
 
 def gen_dependency(
@@ -308,12 +286,13 @@ def gen_dependency(
         theta = rng.uniform(0.0, 2.0 * np.pi, n)
         x = np.cos(theta)
         theta_y = rng.uniform(0.0, 2.0 * np.pi, n) if independent else theta
-        y = _add_noise(spec, np.sin(theta_y), rng)
-        return Sample(np.column_stack([x, y]))
-    lo, hi = spec.effective_x_range
-    x = rng.uniform(lo, hi, n)
-    x_src = rng.uniform(lo, hi, n) if independent else x
-    y = _add_noise(spec, _apply_f(spec, x_src), rng)
+        y0 = np.sin(theta_y)
+    else:
+        lo, hi = spec.effective_x_range
+        x = rng.uniform(lo, hi, n)
+        x_src = rng.uniform(lo, hi, n) if independent else x
+        y0 = _DEPENDENCIES[spec.kind][1](spec, x_src, (x_src - lo) / (hi - lo))
+    y = _NOISE[spec.noise_mode](spec, y0, rng.standard_normal(n))
     return Sample(np.column_stack([x, y]))
 
 

@@ -11,6 +11,7 @@ threshold.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 
@@ -26,6 +27,7 @@ from copstat import (
 )
 from copstat.experiments import _source_sampler
 from copstat.independence import sample_copula
+from copstat.synth import TEST_FUNCTIONS
 
 
 #: Metrics whose sign carries the direction of dependence; power studies
@@ -173,6 +175,62 @@ def kendall_tau_pairs(xs, ys):
 def gaussian_copula_at_half(rho):
     """Closed form C(1/2, 1/2) = 1/4 + arcsin(rho) / (2 pi)."""
     return 0.25 + math.asin(rho) / (2.0 * math.pi)
+
+
+def seed_sequence_rng(seed, *labels):
+    """derive_rng's stream built as numpy reads a list of ints: SeedSequence
+    of [seed, label ints], a string label hashed to its first 8 sha256
+    bytes, little-endian."""
+    ints = [label if isinstance(label, (int, np.integer)) else
+            int.from_bytes(hashlib.sha256(str(label).encode("utf-8")).digest()[:8], "little")
+            for label in labels]
+    seq = np.random.SeedSequence([int(seed)] + [int(v) for v in ints])
+    return np.random.Generator(np.random.Philox(seq))
+
+
+def dependency_response(kind, x, lo, hi, freq, fn_id):
+    """Noise-free response of each dependency kind at x drawn from [lo, hi],
+    one formula per kind; t is x rescaled to [0, 1]."""
+    t = (x - lo) / (hi - lo)
+    if kind == "linear":
+        return 2.0 * x + 1.0
+    if kind == "quadratic":
+        return (x - 0.5 * (lo + hi)) ** 2
+    if kind == "cubic":
+        s = t - 1.0 / 3.0
+        return 128.0 * s**3 - 48.0 * s**2 - 12.0 * s
+    if kind == "fourth_root":
+        return t ** 0.25
+    if kind == "sinusoidal":
+        return np.sin(freq * x)
+    if kind == "fourth_poly":
+        return (x**2 - 0.25) * (x**2 - 1.0)
+    if kind == "cosine":
+        return np.cos(x)
+    assert kind == "testfn"
+    return TEST_FUNCTIONS[fn_id][1](t)
+
+
+def naive_gen_dependency(spec, n, rng, independent=False):
+    """gen_dependency's (n, 2) sample, drawn and shaped step by step."""
+    if spec.kind == "circular":
+        theta = rng.uniform(0.0, 2.0 * np.pi, n)
+        x = np.cos(theta)
+        y0 = np.sin(rng.uniform(0.0, 2.0 * np.pi, n) if independent else theta)
+    else:
+        default = {"sinusoidal": (-1.0, 1.0), "fourth_poly": (-5.0, 5.0), "cosine": (-5.0, 5.0)}
+        lo, hi = spec.x_range or default.get(spec.kind, (0.0, 1.0))
+        x = rng.uniform(lo, hi, n)
+        x_src = rng.uniform(lo, hi, n) if independent else x
+        y0 = dependency_response(spec.kind, x_src, lo, hi, spec.freq, spec.fn_id)
+    eps = rng.standard_normal(n)
+    if spec.noise_mode == "multiplicative":
+        y = y0 * (1.0 + spec.p * eps)
+    elif spec.noise_mode == "additive":
+        y = y0 + spec.p * eps
+    else:
+        y = y0 + math.sqrt(float(np.var(y0)) * (1.0 / spec.r2 - 1.0)) * eps
+    return np.column_stack([x, y])
 
 
 def loop_null_moments(n, trials, seed):

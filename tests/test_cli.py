@@ -6,7 +6,15 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from copstat import CalibrationCurve, CopstatError, copula_statistic, run_power
+from copstat import (
+    CalibrationCurve,
+    CopstatError,
+    copula_statistic,
+    run_bias_table,
+    run_equitability,
+    run_power,
+)
+from copstat import cli
 from copstat.cli import main, read_csv
 from copstat.statistic import DomainRecord
 
@@ -45,6 +53,14 @@ class TestCos:
     def test_unknown_column_exits_2(self, comono_csv, capsys):
         assert main(["cos", comono_csv, "--columns", "nope"]) == 2
         assert "nope" in capsys.readouterr().err
+
+    def test_column_index_out_of_range_exits_2(self, comono_csv, capsys):
+        assert main(["cos", comono_csv, "--columns", "0,2"]) == 2
+        assert "column index 2 out of range" in capsys.readouterr().err
+
+    def test_one_selected_column_exits_2(self, comono_csv, capsys):
+        assert main(["cos", comono_csv, "--columns", "y"]) == 2
+        assert "need at least 2 selected columns" in capsys.readouterr().err
 
     def test_bad_cell_exits_2_with_location(self, tmp_path, capsys):
         path = write(tmp_path / "bad.csv", "x,y\n1,2\n3,zap\n")
@@ -224,6 +240,46 @@ class TestReturns:
         assert [float(v) for v in out[1:]] == [0.0, 0.0]
 
 
+class TestInvalidInput:
+    def test_non_utf8_files_exit_2_naming_the_file(self, tmp_path, capsys, comono_csv):
+        bad_csv = tmp_path / "bad.csv"
+        bad_csv.write_bytes(b"x,y\n1,2\n\xff,3\n2,1\n")
+        bad_curve = tmp_path / "bad.json"
+        bad_curve.write_bytes(b"\xff{}")
+        bad_edges = tmp_path / "bad_edges.csv"
+        bad_edges.write_bytes(b"a,b\n\xffx,y\n")
+        for argv, path in [(["cos", str(bad_csv)], bad_csv),
+                           (["itest", comono_csv, "--curve", str(bad_curve)], bad_curve),
+                           (["netscore", comono_csv, "--edges", str(bad_edges)], bad_edges)]:
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and f"{path}: not UTF-8" in err, err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["calibrate", "--grid", "100,abc"], "--grid"),
+        (["bias", "--grid", "1e2"], "--grid"),
+        (["power", "--p-grid", "0.1,x"], "--p-grid"),
+        (["equitability", "--functions", "1,z"], "--functions"),
+        (["equitability", "--r2-grid", "0.5,"], "--r2-grid"),
+        (["gen", "--x-range", "5"], "--x-range"),
+        (["gen", "--x-range", "a,b"], "--x-range"),
+        (["gen", "--x-range=1,2,3"], "--x-range"),
+    ])
+    def test_malformed_lists_exit_2_naming_the_flag(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid comma-separated" in capsys.readouterr().err
+
+    def test_other_failures_exit_3(self, comono_csv, monkeypatch, capsys):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "copula_statistic", boom)
+        assert main(["cos", comono_csv]) == 3
+        assert capsys.readouterr().err == "failure: boom\n"
+
+
 class TestGen:
     def test_gen_then_cos_round_trip(self, tmp_path, capsys):
         data = str(tmp_path / "lin.csv")
@@ -244,6 +300,15 @@ class TestGen:
 
     def test_bad_kind_exits_2(self, capsys):
         assert main(["gen", "--kind", "helix"]) == 2
+
+    def test_x_range(self, tmp_path):
+        path = str(tmp_path / "x.csv")
+        assert main(["gen", "--kind", "cosine", "--x-range=-1,2.5", "--n", "200",
+                     "--out", path]) == 0
+        assert json.loads((tmp_path / "x.csv.json").read_text())["x_range"] == [-1.0, 2.5]
+        _, data = read_csv(path)
+        assert -1.0 <= data[:, 0].min() and data[:, 0].max() <= 2.5
+        assert np.array_equal(data[:, 1], np.cos(data[:, 0]))
 
     def test_header_format(self, tmp_path):
         path = str(tmp_path / "g.csv")
@@ -348,8 +413,22 @@ class TestEquitability:
         assert "worst_interval" in doc
         assert len(doc["mean_cos"]["1"]) == 2
 
+    def test_csv_layout(self, capsys):
+        assert main(["equitability", "--functions", "1,4", "--r2-grid", "0.5,1.0",
+                     "--n", "100", "--reps", "3", "--seed", "2", "--format", "csv"]) == 0
+        res = run_equitability([1, 4], [0.5, 1.0], 100, 3, 2)
+        assert capsys.readouterr().out == "".join(
+            ["function,r2,mean_cos\n"] + [f"{f},{r2:.17g},{mc:.17g}\n" for f in (1, 4)
+                                          for r2, mc in zip(res.r2_grid, res.mean_cos[f])])
+
 
 class TestBias:
+    def test_json_is_the_library_table(self, capsys):
+        assert main(["bias", "--sources", "indep, sin:2", "--grid", "60,80",
+                     "--trials", "500", "--seed", "4", "--format", "json"]) == 0
+        rows = run_bias_table(["indep", "sin:2"], [60, 80], 500, 4)
+        assert json.loads(capsys.readouterr().out) == [asdict(r) for r in rows]
+
     def test_csv_layout(self, capsys):
         assert main(["bias", "--sources", "sin:1", "--grid", "60",
                      "--trials", "500", "--format", "csv"]) == 0
@@ -395,6 +474,18 @@ class TestNetscore:
                      "--format", "csv"]) == 0
         assert capsys.readouterr().out == "".join(
             ["fpr,tpr\n"] + ["%.17g,%.17g\n" % p for p in roc])
+
+    @pytest.mark.parametrize("text, message", [
+        ("from\ng1\n", "edge list needs two name columns"),
+        ("", "edge list needs two name columns"),
+        ("from,to\ng1\n", "malformed edge row ['g1']"),
+        ("from,to\n\n ,\n", "no edges"),
+    ])
+    def test_bad_edge_list_exits_2(self, text, message, tmp_path, capsys):
+        expr = _separator_expr(tmp_path)
+        edges = write(tmp_path / "edges.csv", text)
+        assert main(["netscore", expr, "--edges", edges]) == 2
+        assert capsys.readouterr().err == f"error: {edges}: {message}\n"
 
     def test_unknown_gene_exits_2(self, tmp_path, capsys):
         expr = write(tmp_path / "e.csv", "a,b\n1,2\n2,1\n3,4\n")

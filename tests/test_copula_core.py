@@ -90,6 +90,18 @@ class TestPseudoObservations:
         assert np.allclose(ps.u[:, 0], np.array(naive_ranks(col)) / 20)
 
 
+class TestPseudoSample:
+    @pytest.mark.parametrize("u", [[0.5, 1.0], np.full((2, 2, 2), 0.5)])
+    def test_must_be_2d(self, u):
+        with pytest.raises(InvalidInput, match="2-D"):
+            PseudoSample(u)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5, 1.5])
+    def test_values_must_lie_in_the_half_open_unit_interval(self, bad):
+        with pytest.raises(InvalidInput, match=r"\(0, 1\]"):
+            PseudoSample([[0.5, 1.0], [bad, 0.5]])
+
+
 class TestEmpiricalCopula:
     def test_comonotonic_point(self):
         cop = empirical_copula(Sample.from_columns([[1, 2, 3], [1, 2, 3]]))
@@ -298,6 +310,11 @@ class TestEnvelopes:
             with pytest.raises(InvalidInput, match="no coordinates"):
                 frechet_upper(point)
         assert copula_core.as_unit_point(np.empty((0, 2))).shape == (0, 2)
+
+    def test_unit_point_of_the_wrong_dimension(self):
+        with pytest.raises(DimensionMismatch, match="expected a 3-dimensional point, got 2"):
+            copula_core.as_unit_point([0.5, 0.5], 3)
+        assert copula_core.as_unit_point([0.5, 0.5], 2).tolist() == [0.5, 0.5]
 
     def test_batched_points_match_a_loop_over_coordinates(self):
         rng = np.random.default_rng(18)

@@ -37,6 +37,9 @@ class TestRunPower:
             run_power("linear", "cos", 50, 100, 0.05, [0.1])
         with pytest.raises(InvalidParam):
             run_power("linear", "cos", 100, 50, 0.05, [0.1])
+        for alpha in (0.0, 1.0, -0.1):
+            with pytest.raises(InvalidParam, match=r"alpha must be in \(0, 1\)"):
+                run_power("linear", "cos", 100, 100, alpha, [0.1])
 
     def test_noise_free_power_is_one(self):
         curve = run_power("linear", "cos", 100, 100, 0.05, [0.0], seed=1)
@@ -193,6 +196,11 @@ class TestScoreMatrix:
             score_matrix(np.zeros((3, 3)), [(0, 5)])
         with pytest.raises(InvalidInput):
             score_matrix(np.zeros((3, 3)), [(1, 1)])
+
+    @pytest.mark.parametrize("shape", [(3, 4), (9,), (2, 2, 2)])
+    def test_rejects_non_square_matrix(self, shape):
+        with pytest.raises(InvalidInput, match="must be square"):
+            score_matrix(np.zeros(shape), [(0, 1)])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_scores(self, bad):

@@ -72,6 +72,25 @@ class TestSpearman:
         base = spearman(cols(x, y))
         assert spearman(cols(np.exp(x), y**3)) == pytest.approx(base)
 
+    def test_constant_column(self):
+        with pytest.raises(DegenerateMarginal, match="constant"):
+            spearman(cols(np.arange(5.0), np.full(5, 2.0)))
+
+    @pytest.mark.parametrize("levels", [None, 2, 7, 40])
+    @pytest.mark.parametrize("n", [2, 3, 50, 501])
+    def test_average_ranks_are_scipys(self, n, levels):
+        from scipy.stats import rankdata
+
+        rng = np.random.default_rng(10 * n + (levels or 0))
+        x = rng.standard_normal((n, 3))
+        if levels is not None:
+            x = rng.integers(0, levels, size=(n, 3)).astype(float)
+        x[:2, :2] = ((0.0, 1.0), (1.0, 0.0))  # no constant column
+        _, left, right = copula_core._tie_bounds(x)
+        assert np.array_equal((left + right + 1) / 2, rankdata(x, axis=0).T)
+        want = np.corrcoef(rankdata(x[:, 0]), rankdata(x[:, 1]))[0, 1]
+        assert spearman(x[:, :2]) == want
+
 
 class TestKendallMv:
     def test_comonotonic_bivariate(self):
@@ -159,9 +178,9 @@ class TestDcor:
 
 
 def test_import_leaves_scipy_stats_unloaded(tmp_path):
-    # scipy dominates import time, and only the Gaussian-copula sampler, the
-    # z-test and spearman need it: importing copstat and running
-    # `copstat cos` load no scipy module
+    # scipy dominates import time, and only the Gaussian-copula sampler and
+    # the z-test need it: importing copstat, running `copstat cos` and
+    # calling spearman load no scipy module
     src = str(Path(copstat.__file__).resolve().parents[1])
     csv = tmp_path / "small.csv"
     csv.write_text("x,y\n" + "".join(f"{i},{(7 * i) % 11}\n" for i in range(11)))
@@ -170,6 +189,7 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path):
         "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = copstat.cli.main(['cos', sys.argv[1]])\n"
+        "copstat.spearman([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])\n"
         "loaded += [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
         "print(code, loaded)\n"
     )

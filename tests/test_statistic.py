@@ -420,7 +420,7 @@ class TestCosBatch:
                 x = _stack(kind, 5, n, d, rng)
                 cases.append((x, _loop_cos(x)))
         if words is not None:
-            # several word tiles and sample blocks per prefix table
+            # several word tiles per prefix table
             monkeypatch.setattr(copula_core, "_PREFIX_TABLE_WORDS", words)
         for x, want in cases:
             assert [c.hex() for c in _cos_batch(x)] == want, x.shape

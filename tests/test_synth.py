@@ -21,9 +21,9 @@ from copstat import (
     spearman,
 )
 from copstat import synth
-from copstat.synth import mc_values
+from copstat.synth import DEPENDENCY_KINDS, NOISE_MODES, mc_values
 
-from oracles import gaussian_copula_at_half
+from oracles import gaussian_copula_at_half, naive_gen_dependency, seed_sequence_rng
 
 
 class TestDeriveRng:
@@ -38,6 +38,20 @@ class TestDeriveRng:
         c = derive_rng(7, "y", 3).random(5)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("seed, labels", [
+        (0, ()), (0, (0,)), (7, ("x", 3)), (0, ("",)), (5, (2**32 - 1, 2**32, 0)),
+        (3, (np.int64(9), True, "null")), (2**64, ("y", 2**40 + 3)), (2**70 + 1, (2**64 - 1,)),
+    ])
+    def test_is_the_seed_sequence_of_the_label_ints(self, seed, labels):
+        want = seed_sequence_rng(seed, *labels).random(8)
+        assert np.array_equal(derive_rng(seed, *labels).random(8), want)
+
+    def test_rejects_negative_integers(self):
+        with pytest.raises(InvalidParam, match="non-negative"):
+            derive_rng(0, "x", -1)
+        with pytest.raises(ValueError, match="non-negative"):
+            derive_rng(-1, "x")
 
 
 class TestMcValues:
@@ -189,6 +203,16 @@ class TestDependencySpec:
         with pytest.raises(InvalidParam):
             DependencySpec(kind="testfn", fn_id=11)
 
+    @pytest.mark.parametrize("x_range", [(1.0, -1.0), (2.0, 2.0)])
+    def test_x_range_must_increase(self, x_range):
+        with pytest.raises(InvalidParam, match="increasing"):
+            DependencySpec(kind="linear", x_range=x_range)
+
+    def test_kinds_and_modes(self):
+        assert DEPENDENCY_KINDS == ("linear", "quadratic", "cubic", "fourth_root", "sinusoidal",
+                                    "circular", "fourth_poly", "cosine", "testfn")
+        assert NOISE_MODES == ("multiplicative", "additive", "r2_additive")
+
 
 class TestGenDependency:
     def test_noise_free_linear_is_functional(self):
@@ -233,6 +257,23 @@ class TestGenDependency:
         b = gen_dependency(spec, 100, derive_rng(3, "z"))
         assert np.array_equal(a.data, b.data)
 
+    @pytest.mark.parametrize("mode", NOISE_MODES)
+    @pytest.mark.parametrize("kind", DEPENDENCY_KINDS)
+    def test_matches_the_per_kind_formula(self, kind, mode):
+        r2 = 0.6 if mode == "r2_additive" else None
+        for x_range in (None, (-2.0, 3.0)):
+            for fn_id in ((1, 6, 10) if kind == "testfn" else (1,)):
+                spec = DependencySpec(kind=kind, p=0.3, noise_mode=mode, x_range=x_range,
+                                      freq=3.0, fn_id=fn_id, r2=r2)
+                for independent in (False, True):
+                    got = gen_dependency(spec, 60, derive_rng(1, kind), independent)
+                    want = naive_gen_dependency(spec, 60, derive_rng(1, kind), independent)
+                    assert np.array_equal(got.data, want), (x_range, fn_id, independent)
+
+    def test_needs_two_points(self):
+        with pytest.raises(InvalidParam, match="n >= 2"):
+            gen_dependency(DependencySpec(kind="linear"), 1, derive_rng(0))
+
 
 class TestRipley:
     def test_form1_first_step(self):
@@ -243,6 +284,10 @@ class TestRipley:
         # for x_{i+1} = (x_i + 1) mod 2, seed 1 -> state 0 -> mapped to 1/(2M)
         u = LcgStream(1, 1, 2, seed=1).uniforms(2)
         assert u[0] == pytest.approx(1 / 4)
+
+    def test_needs_two_points(self):
+        with pytest.raises(InvalidParam, match="n >= 2"):
+            gen_ripley(1, 1)
 
     def test_form_validation(self):
         with pytest.raises(InvalidParam):
