@@ -34,16 +34,20 @@ _EVAL_BLOCK_CELLS = 8_000_000
 
 # Samples of two columns and at least this many points count dominance by
 # merge levels, O(n log n), rather than by the bitset kernel.  For one
-# sample the two took about 0.4-0.5 ms each at n = 1100; merge levels took
-# 0.3 against 0.2 ms at n = 1000, 1.5 against 7.0 ms at n = 5000 and 6.7
-# against 87 ms at n = 20000 (best of 25, 2-core x86 host).
-_MERGE_MIN_N = 1100
+# sample, merge levels took 1.35-1.39 times the kernel's time at n = 1400,
+# 0.85-1.19 at n = 1600, 0.82-1.00 at n = 1800 and 0.69-0.93 at n = 2000
+# (medians of 20 alternating rounds, two runs, 2-core x86 host).
+_MERGE_MIN_N = 1700
 
-# uint64 words per prefix table in dominance_counts (~4 MB), one table
-# covering one column of every sample of a stack.  Tables that fit in
-# cache are also faster: at n = 20000, d = 2 an 8M-word budget took
-# about twice as long (207 vs 105 ms on a 2-core x86 host).
-_PREFIX_TABLE_WORDS = 500_000
+# uint64 words per prefix table in _dominance_counts (128 KiB), one table
+# covering one column of every sample of a stack, and at least two words
+# per row.  Against 1 MiB tables the kernel took 0.62 of the time on a
+# (32, 200, 2) Monte Carlo block, 0.59 at n = 2000, d = 5, 0.77 at
+# n = 20000, d = 3 and the same at n = 5000, d = 3; filling a fresh
+# 200 KiB table took 57 us against 8 us for a reused one.  One-word tiles
+# cost more per tile than they save: 92 against 46 ms at n = 20000, d = 3
+# (2-core x86 host).
+_PREFIX_TABLE_WORDS = 16_384
 
 
 def _observations(data, axes: tuple[str, ...]) -> np.ndarray:
@@ -134,11 +138,20 @@ class PseudoSample:
         return self.u.shape[1]
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """Offset of each row of `a`'s last axis in `a` raveled, shaped to
+    broadcast against `a`: adding it to indices along the last axis gives
+    flat indices, for one `take` or scatter over the whole array (3-index
+    fancy indexing costs several times as much)."""
+    return (np.arange(a.size // a.shape[-1]) * a.shape[-1]).reshape(*a.shape[:-1], 1)
+
+
 def _positions(order: np.ndarray) -> np.ndarray:
     """Sorted position of each point, from sorting orders along the last axis."""
-    pos = np.empty_like(order)
-    np.put_along_axis(pos, order, np.arange(order.shape[-1]), axis=-1)
-    return pos
+    n = order.shape[-1]
+    pos = np.empty(order.size, dtype=order.dtype)
+    pos[(order + _rows(order)).ravel()] = np.tile(np.arange(n), order.size // n)
+    return pos.reshape(order.shape)
 
 
 def _ranked(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -149,16 +162,23 @@ def _ranked(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     resolved by first occurrence, with no two points of a column sharing a
     value.  Raises DegenerateMarginal if a column is constant, that is if
     the ends of its sorted order hold equal values.
+
+    Columns are sorted by the default (unstable) sort.  A column without
+    ties has one sorting order, the stable one; only the columns where
+    adjacent sorted values are equal are sorted again, stably.
     """
     T = x.shape[0]
-    columns = x.transpose(0, 2, 1)
-    order = np.argsort(columns, axis=2, kind="stable")
-    ends = np.take_along_axis(columns, order[..., [0, -1]], axis=2)
-    constant = np.argwhere(ends[..., 0] == ends[..., 1])
+    columns = np.ascontiguousarray(x.transpose(0, 2, 1))
+    order = np.argsort(columns, axis=2)
+    ranked = columns.ravel().take(order + _rows(order))
+    constant = np.argwhere(ranked[..., 0] == ranked[..., -1])
     if constant.size:
         t, k = constant[0]
         where = f" of sample {t}" if T > 1 else ""
         raise DegenerateMarginal(f"column {k}{where} is constant")
+    tied = (ranked[..., 1:] == ranked[..., :-1]).any(axis=2)
+    if tied.any():
+        order[tied] = np.argsort(columns[tied], axis=1, kind="stable")
     return order, _positions(order)
 
 
@@ -253,64 +273,119 @@ def dominance_counts(ps: PseudoSample) -> np.ndarray:
     Returns int64 counts in row order, in O(d n^2 / 64) word operations;
     see `_dominance_counts`.
     """
-    order, _, right = _tie_bounds(ps.u)
-    return _dominance_counts(_positions(order)[None], right[None] - 1)[0]
+    by, counts = _tied_trace_counts(ps.u, 0)
+    out = np.empty_like(counts)
+    out[by] = counts
+    return out
 
 
-def _dominance_counts(pos: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """`dominance_counts` of each sample of a (T, n, d) stack, shape (T, n),
-    from two (T, d, n) arrays: `pos`, each point's position in its column's
-    stable sorted order, and `row`, the position of the last point sharing
-    its value (`pos` itself where a column has no ties, as in `_ranked`'s
-    ordinal ranks).
+def _tied_trace_counts(u: np.ndarray, sort_axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """(by, counts) of an (n, d) array of values that may hold ties: the
+    trace order, its points stably sorted on column `sort_axis`, and each
+    trace point's dominance count."""
+    order, _, right = _tie_bounds(u)
+    by = order[sort_axis]
+    rank = _trace_ranks(order[None], _positions(order)[None], sort_axis)
+    row = _trace_ranks(order[None], right[None] - 1, sort_axis)
+    # the last trace point sharing each point's sort-axis value
+    cut = right[sort_axis, by] - 1
+    return by, _dominance_counts(rank, row, cut)[0]
 
-    Per sample and column, row t of a prefix table is the bitset of the
-    first t + 1 points in stable sorted order, so point j's set of points
-    at or below it in that column is the row of the last point sharing its
-    value; AND-ing its d rows and counting bits gives its count.  Points
-    are tiled by 64-bit word so that the tables of the whole stack hold at
-    most _PREFIX_TABLE_WORDS words, or T * n words (one word per row) when
-    that is more.
-    """
+
+def _trace_ranks(order: np.ndarray, pos: np.ndarray, sort_axis: int) -> np.ndarray:
+    """(d - 1, T, n) ranks of each sample of a stack in trace order, from
+    `_ranked`'s (T, d, n) `order` and `pos`: for each column other than
+    `sort_axis`, in column order, the position in that column of the
+    points sorted on `sort_axis`.  `pos` may be any (T, d, n) value per
+    point and column."""
     T, d, n = pos.shape
+    others = np.arange(d)[np.arange(d) != sort_axis]
+    rows = (np.arange(T) * d + others[:, None]) * n  # of pos raveled
+    return pos.ravel().take(rows[..., None] + order[:, sort_axis])
+
+
+#: LOW_BITS[b] is a word whose bits 0..b are set.
+_LOW_BITS = np.bitwise_or.accumulate(np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64)))
+
+
+def _dominance_counts(rank: np.ndarray, row: np.ndarray, cut: np.ndarray) -> np.ndarray:
+    """Dominance counts (T, n) of each sample of a stack, in trace order:
+    at trace point i, the number of points at or below it in every column.
+
+    The trace visits each sample's points stably sorted on one column, the
+    sort axis.  For each other column, `rank` (d - 1, T, n) holds each
+    trace point's position in that column's stable sorted order, and `row`
+    the position of the last point sharing its value (`rank` itself where
+    values are distinct, as in `_ranked`'s ordinal ranks).  `cut` (n,) is
+    the last trace index sharing each point's sort-axis value (range(n)
+    where values are distinct).
+
+    Bit i of a bitset stands for trace point i.  On the sort axis, the
+    points at or below point i are trace points 0..cut[i]: row cut[i] of a
+    lower-triangular mask, the same for every sample.  In another column,
+    row r of a prefix table is the bitset of the first r + 1 points in
+    sorted order, so the points at or below point i are table row row[i].
+    AND-ing the mask row with one table row per other column and counting
+    bits gives the count.  Points are tiled by 64-bit word so that the
+    tables of the whole stack hold at most _PREFIX_TABLE_WORDS words, or
+    2 T n words (two words per row) when that is more.
+    """
+    T, n = rank.shape[1:]
     point = np.arange(n)
     bit = np.left_shift(np.uint64(1), (point % 64).astype(np.uint64))
     words = -(-n // 64)
-    tile = max(1, min(words, _PREFIX_TABLE_WORDS // (T * n)))
-    sample = np.arange(T)[:, None]
+    tile = min(words, max(2, _PREFIX_TABLE_WORDS // (T * n)))
+    sample = (np.arange(T) * n)[:, None]  # first table row of each sample
+    gather = (row + sample).reshape(-1, T * n)
+    cut_word = cut // 64  # non-decreasing, as the trace is sorted
     counts = np.zeros((T, n), dtype=np.int64)
     for w0 in range(0, words, tile):
         w1 = min(w0 + tile, words)
-        pts = point[64 * w0:64 * w1]
+        wide = w1 - w0
+        pts = slice(64 * w0, 64 * w1)
+        # the mask's words w0..w1-1 in row c: all ones before c's own word,
+        # bits 0..c % 64 in it and none after; the rows are taken from one
+        # row per word, then each own word is set
+        by_word = (np.arange(w0, w1) < np.arange(words)[:, None]) * _LOW_BITS[63]
+        mask = by_word.take(cut_word, axis=0)
+        lo, hi = cut_word.searchsorted([w0, w1])
+        mask.ravel()[np.arange(lo, hi) * wide + cut_word[lo:hi] - w0] = _LOW_BITS[cut[lo:hi] % 64]
+        # each tile point's bit, at its flat index in the tables less its
+        # row's offset
+        offset = sample * wide + point[pts] // 64 - w0
+        bits = np.broadcast_to(bit[pts], offset.shape).ravel()
+        table = np.empty(T * n * wide, dtype=np.uint64)
         hit = None
-        for k in range(d):
-            table = np.zeros((T, n, w1 - w0), dtype=np.uint64)
-            table[sample, pos[:, k, pts], pts // 64 - w0] = bit[pts]
-            np.bitwise_or.accumulate(table, axis=1, out=table)
-            below = table[sample, row[:, k]]
+        for r, g in zip(rank, gather):
+            table.fill(0)
+            table[(r[:, pts] * wide + offset).ravel()] = bits
+            np.bitwise_or.accumulate(table.reshape(T, n, wide), axis=1,
+                                     out=table.reshape(T, n, wide))
+            # mode="clip" skips the bounds check; the rows are in range
+            below = table.reshape(T * n, wide).take(g, axis=0, mode="clip")
             hit = below if hit is None else np.bitwise_and(hit, below, out=hit)
-        # one reduction over the words: sum(axis=2) reduces a short last
-        # axis point by point (125 vs 55 us on (32, 200, 4) words, 2-core
-        # x86 host)
-        counts += np.einsum("...w->...", np.bitwise_count(hit), dtype=np.int64)
+        np.bitwise_and(hit.reshape(T, -1), mask.ravel(), out=hit.reshape(T, -1))
+        # add the words' bit counts one word column at a time: numpy reduces
+        # a short last axis point by point (einsum took 59 us and these adds
+        # 22 us on (6400, 4) counts, 2-core x86 host)
+        hits = np.bitwise_count(hit)
+        for w in range(wide):
+            counts += hits[:, w].reshape(T, n)
     return counts
 
 
-def _trace_counts(order: np.ndarray, pos: np.ndarray, sort_axis: int) -> np.ndarray:
-    """Dominance counts (T, n) of each sample of a (T, n, d) stack, in trace
-    order, from `_ranked`'s ordinal `order` and `pos`: the trace visits each
-    sample's points sorted on column `sort_axis`.
+def _trace_counts(rank: np.ndarray) -> np.ndarray:
+    """Dominance counts (T, n) of each sample of a stack, in trace order,
+    from `_trace_ranks` of ordinal ranks (distinct values in each column).
 
     Two columns of at least _MERGE_MIN_N points take `_merge_counts`; all
     other stacks take the bitset kernel, `_dominance_counts`.
     """
-    by_axis = order[:, sort_axis]
-    T, d, n = pos.shape
-    if d == 2 and n >= _MERGE_MIN_N:
+    if rank.shape[0] == 1 and rank.shape[2] >= _MERGE_MIN_N:
         # a point's count is itself plus the earlier trace points that lie
         # below it in the other column
-        return _merge_counts(np.take_along_axis(pos[:, 1 - sort_axis], by_axis, axis=1))
-    return np.take_along_axis(_dominance_counts(pos, pos), by_axis, axis=1)
+        return _merge_counts(rank[0])
+    return _dominance_counts(rank, rank, np.arange(rank.shape[2]))
 
 
 def _merge_counts(r: np.ndarray) -> np.ndarray:
@@ -352,19 +427,26 @@ def empirical_copula(sample) -> EmpiricalCopula:
     return EmpiricalCopula(pseudo_observations(sample))
 
 
-def _fold(ufunc, p: np.ndarray) -> np.ndarray:
+def _fold(ufunc, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """ufunc over the coordinates of points p, applied one coordinate at a
-    time in order, as a plain loop over each point would.  numpy reduces a
-    short last axis point by point: at 4,200 two-dimensional points,
-    p.min(axis=-1) took 185 us and this 5 us (2-core x86 host)."""
-    out = p[..., 0].copy()
+    time in order, as a plain loop over each point would; into `out` if
+    given.  numpy reduces a short last axis point by point: at 4,200
+    two-dimensional points, p.min(axis=-1) took 185 us and this 5 us
+    (2-core x86 host)."""
+    if out is None:
+        out = p[..., 0].copy()
+    else:
+        np.copyto(out, p[..., 0])
     for k in range(1, p.shape[-1]):
         ufunc(out, p[..., k], out=out)
     return out
 
 
-def _frechet_lower(p: np.ndarray) -> np.ndarray:
-    return np.maximum(_fold(np.add, p) + 1.0 - p.shape[-1], 0.0)
+def _frechet_lower(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    out = _fold(np.add, p, out)
+    out += 1.0
+    out -= p.shape[-1]
+    return np.maximum(out, 0.0, out=out)
 
 
 def frechet_upper(point):
@@ -401,19 +483,34 @@ def relative_distance(c_value, point, tol: float = 0.0):
     c = np.asarray(c_value, dtype=float)
     if c.shape != p.shape[:-1]:
         raise DimensionMismatch(f"{c.shape} copula values for {p.shape[:-1]} points")
-    upper, lower, pi = _fold(np.minimum, p), _frechet_lower(p), _fold(np.multiply, p)
-    above, below = c > upper + tol, c < lower - tol
-    if above.any():
+    # three value-sized buffers: an envelope or pi that is not needed for a
+    # while is computed again from p, which gives the same bits, rather
+    # than kept; ufuncs masked with `where` took ten times as long
+    upper = _fold(np.minimum, p)
+    out = np.add(upper, tol, out=np.empty_like(upper))
+    beyond = np.greater(c, out, out=np.empty(c.shape, dtype=bool))
+    if beyond.any():
         raise BoundsViolated(
-            f"copula value {c[above][0]} exceeds upper bound {upper[above][0]} "
+            f"copula value {c[beyond][0]} exceeds upper bound {upper[beyond][0]} "
             f"beyond tol {tol}"
         )
-    if below.any():
+    lower = _frechet_lower(p)
+    np.less(c, np.subtract(lower, tol, out=out), out=beyond)
+    if beyond.any():
         raise BoundsViolated(
-            f"copula value {c[below][0]} below lower bound {lower[below][0]} "
+            f"copula value {c[beyond][0]} below lower bound {lower[beyond][0]} "
             f"beyond tol {tol}"
         )
-    c = np.where(c > upper, upper, np.where(c < lower, lower, c))
-    denom = np.where(c >= pi, upper - pi, lower - pi)
-    gap = np.abs(denom) >= DEGENERATE_EPS
-    return np.divide(c - pi, denom, out=np.ones_like(c), where=gap)[()]
+    # clamp: to upper where c exceeds it, else to lower where c is below it
+    np.maximum(c, lower, out=out)
+    np.putmask(out, np.greater(c, upper, out=beyond), upper)
+    # the gap to pi of the upper envelope where c >= pi, else the lower one
+    pi = _fold(np.multiply, p, out=upper)
+    np.greater_equal(out, pi, out=beyond)
+    out -= pi
+    np.putmask(lower, beyond, _fold(np.minimum, p, out=upper))
+    denom = np.subtract(lower, _fold(np.multiply, p, out=upper), out=lower)
+    np.greater_equal(np.abs(denom, out=upper), DEGENERATE_EPS, out=beyond)
+    np.divide(out, denom, out=out, where=beyond)
+    np.putmask(out, ~beyond, 1.0)
+    return out[()]

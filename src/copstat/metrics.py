@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .copula_core import _ranked, _tie_bounds, _trace_counts, as_sample
+from .copula_core import _ranked, _tie_bounds, _trace_counts, _trace_ranks, as_sample
 # pseudo_observations stays importable from this module because perfbench's
 # tracer swaps it here
 from .copula_core import pseudo_observations  # noqa: F401
@@ -57,7 +57,7 @@ def kendall_mv(sample) -> float:
     s = as_sample(sample)
     n, d = s.n, s.d
     order, pos = _ranked(s.data[None])
-    total = int(_trace_counts(order, pos, 0).sum())
+    total = int(_trace_counts(_trace_ranks(order, pos, 0)).sum())
     mean_c = (total - n) / (n * (n - 1))
     return (2.0**d * mean_c - 1.0) / (2.0 ** (d - 1) - 1.0)
 

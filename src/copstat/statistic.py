@@ -12,7 +12,7 @@ noise-free monotone dependence at any n >= 2, and asymptotically 1 for any
 functional dependence.
 
 One private scorer, `_scored`, scores a stack of samples in array passes,
-sorting each column once: `_cos_batch` hands it the Monte Carlo pipelines'
+ranking each column once: `_cos_batch` hands it the Monte Carlo pipelines'
 blocks of trials and `copula_statistic` a stack of one.  The public stage
 functions run the same passes one stage at a time.
 """
@@ -30,9 +30,10 @@ from .copula_core import (  # noqa: F401
     PseudoSample,
     _observations,
     _ranked,
+    _tied_trace_counts,
     _trace_counts,
+    _trace_ranks,
     as_sample,
-    dominance_counts,
     pseudo_observations,
     relative_distance,
 )
@@ -154,14 +155,13 @@ def copula_trace(ps: PseudoSample, sort_axis: int = 0) -> Trace:
 
     Points are ordered by their pseudo-coordinate on `sort_axis` (stable on
     the original index); each trace value is C_n at the point's full
-    pseudo-coordinate vector, its exact dominance count from
-    `dominance_counts` divided by n.
+    pseudo-coordinate vector, its exact dominance count (as
+    `dominance_counts` gives it) divided by n.
     """
     if not 0 <= sort_axis < ps.d:
         raise InvalidInput(f"sort_axis {sort_axis} out of range for d={ps.d}")
-    by_axis = np.argsort(ps.u[:, sort_axis], kind="stable")
-    values = dominance_counts(ps)[by_axis] / ps.n
-    return Trace(points=ps.u[by_axis], values=values, order=by_axis)
+    by_axis, counts = _tied_trace_counts(ps.u, sort_axis)
+    return Trace(points=ps.u[by_axis], values=counts / ps.n, order=by_axis)
 
 
 def _trace_values(trace) -> np.ndarray:
@@ -286,20 +286,28 @@ def _scored(x: np.ndarray, sort_axis: int) -> tuple[np.ndarray, ...]:
     """(cos, start, end, rising, lambda_min, lambda_max, gamma,
     local_opt_min, local_opt_max) of a validated (T, n, d) stack traced
     along `sort_axis`: the (T,) statistic, then every trace's runs in trace
-    order, fields as in CosReport.  Each column is sorted once."""
+    order, fields as in CosReport.  Each column is sorted once, a column
+    with ties twice (see `_ranked`)."""
     T, n, d = x.shape
     order, pos = _ranked(x)
     if not 0 <= sort_axis < d:
         raise InvalidInput(f"sort_axis {sort_axis} out of range for d={d}")
-    s = _trace_counts(order, pos, sort_axis) / n
+    rank = _trace_ranks(order, pos, sort_axis)
+    s = _trace_counts(rank) / n
     trace_id, start, end, rising, argmin, argmax = _runs(s)
     n_points = end - start + 1
     lo_min, lo_max = _optima(s, trace_id, end, n_points, rising, n)
-    # one gather of the runs' extreme points, minima then maxima: their
-    # pseudo-observations (pos + 1) / n and copula values
-    at = trace_id * n + np.stack([argmin, argmax])
-    rows = order[:, sort_axis].ravel()[at]  # their sample rows
-    p = (pos[trace_id, :, rows] + 1) / n
+    # the runs' extreme points, minima then maxima, by flat trace index:
+    # their copula values and pseudo-observations, (i + 1) / n on the sort
+    # axis for trace index i and (rank + 1) / n on the other axes
+    extreme = np.stack([argmin, argmax])
+    at = trace_id * n + extreme
+    p = np.empty(at.shape + (d,))
+    p[..., sort_axis] = extreme
+    others = rank.reshape(d - 1, T * n).take(at, axis=1)
+    p[..., np.arange(d) != sort_axis] = np.moveaxis(others, 0, -1)
+    p += 1
+    p /= n
     lam_min, lam_max = relative_distance(s.ravel()[at], p, 1.0 / (2 * n))
     gamma = domain_gamma(lam_min, lam_max, lo_min | lo_max)
     cos = _weighted_means(trace_id, n_points, gamma, T, n)
@@ -318,8 +326,9 @@ def copula_statistic(sample, sort_axis: int = 0) -> CosReport:
     The trace is sorted on `sort_axis` (column 0 by default).  It counts
     every point's dominated points: by merge levels in O(n log n) for two
     columns and n >= _MERGE_MIN_N, else with 64-point bitsets in O(d n^2 /
-    64) word operations and tables of O(n) words.  Scoring the runs is
-    O(n) array work.  The result is deterministic in the input:
+    64) word operations, one prefix table per column other than the sort
+    axis, whose prefix sets are the trace's own order.  Scoring the runs
+    is O(n) array work.  The result is deterministic in the input:
     it is `_scored`'s stack of one, bit-identical to `_cos_batch`.  The
     report keeps the runs as arrays; reading `report.domains` builds their
     DomainRecords, which no part of the statistic needs.

@@ -7,9 +7,15 @@ Box-Muller transform that produce structured point patterns.
 
 Randomness comes from numpy's Philox counter-based generator.  Independent
 sub-streams are derived from a root seed plus a label path, so parallel
-trials reproduce bit-identically regardless of scheduling order.
-`mc_values` runs Monte Carlo trials this way, one stream per trial, and
-scores them in blocks.
+trials reproduce bit-identically regardless of scheduling order.  The
+path becomes uint32 words (`_key_words`), and `_stream_key` mixes them
+into a 128-bit Philox key exactly as numpy's SeedSequence would, so a
+stream is numpy's Philox(SeedSequence(words)).  A Philox stream is fixed
+by its key and counter, so it can be replayed from its start by setting
+the key with a zero counter on any Philox generator.  `derive_rng` keys a
+new generator; `mc_values` runs Monte Carlo trials, one stream per trial,
+keys all of them in one array pass, replays each on one reused generator
+and scores the trials in blocks.
 """
 
 from __future__ import annotations
@@ -77,6 +83,13 @@ _NOISE = {
 NOISE_MODES = tuple(_NOISE)
 
 
+# SeedSequence's hash and mix constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK = 0xFFFFFFFF
+
+
 def _label_entropy(label) -> int:
     if isinstance(label, (int, np.integer)):
         if label < 0:
@@ -86,7 +99,7 @@ def _label_entropy(label) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _key(seed: int, *labels) -> list[int]:
+def _key_words(seed: int, *labels) -> list[int]:
     """The uint32 words that key the stream of (seed, *labels): the seed
     and each label's entropy as little-endian words, [0] for 0, which is
     how SeedSequence reads a list of ints."""
@@ -94,18 +107,54 @@ def _key(seed: int, *labels) -> list[int]:
     for value in (int(seed), *map(_label_entropy, labels)):
         if value < 0:
             raise ValueError("expected non-negative integer")
-        words.append(value & 0xFFFFFFFF)
-        while value > 0xFFFFFFFF:
+        words.append(value & _MASK)
+        while value > _MASK:
             value >>= 32
-            words.append(value & 0xFFFFFFFF)
+            words.append(value & _MASK)
     return words
 
 
-def _philox(key: list[int]) -> np.random.Generator:
-    # SeedSequence takes a uint32 array as is, but converts a list of ints
-    # one int at a time, which took most of a trial's stream derivation
-    seq = np.random.SeedSequence(np.array(key, dtype=np.uint32))
-    return np.random.Generator(np.random.Philox(seq))
+def _stream_key(words: list) -> np.ndarray:
+    """The Philox key of the stream keyed by uint32 `words`, as
+    SeedSequence(words).generate_state(2, np.uint64) gives it.
+
+    It runs SeedSequence's mixing, a pool of four words hashed and mixed
+    pairwise, then hashed out into four key words.  A word is an int below
+    2**32 or a uint32 array with one entry per stream, so one call keys
+    many streams: the key is then a (streams, 2) array.  Every product is
+    masked to 32 bits, so ints and uint32 arrays wrap alike.
+    """
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK
+        value = value * const & _MASK
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (x * _MIX_L & _MASK) - (y * _MIX_R & _MASK) & _MASK
+        return value ^ value >> 16
+
+    # a pool longer than the entropy is filled by hashing zeros
+    pool = [hashmix(w) for w in (*words[:4], *[0] * (4 - len(words)))]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    const = _INIT_B
+    state = []
+    for w in pool:
+        w = w ^ const
+        const = const * _MULT_B & _MASK
+        w = w * const & _MASK
+        state.append(w ^ w >> 16)
+    # pairs of little-endian 32-bit words, as SeedSequence reads them
+    return np.stack(state, axis=-1).astype("<u4", copy=False).view("<u8")
 
 
 def derive_rng(seed: int, *labels) -> np.random.Generator:
@@ -113,9 +162,10 @@ def derive_rng(seed: int, *labels) -> np.random.Generator:
 
     Same seed and labels always give the identical stream; distinct label
     paths give statistically independent streams, so concurrent trials can
-    each derive their own.
+    each derive their own.  The stream is numpy's
+    Philox(SeedSequence(words)) for the path's uint32 words (see `_key_words`).
     """
-    return _philox(_key(seed, *labels))
+    return np.random.Generator(np.random.Philox(key=_stream_key(_key_words(seed, *labels))))
 
 
 #: Cells (samples x n x d) per block that _score_blocks hands to its
@@ -142,11 +192,29 @@ def _score_blocks(arrays, score) -> np.ndarray:
 def mc_values(seed: int, labels, trials: int, draw, score) -> np.ndarray:
     """Values of `trials` Monte Carlo trials, shape (trials,): trial t
     draws one (n, d) sample array with `draw(rng)` from the stream
-    derive_rng(seed, *labels, t), and `_score_blocks` scores them."""
+    derive_rng(seed, *labels, t), and `_score_blocks` scores them.
+
+    One `_stream_key` pass keys every trial's stream.  `rng` is one
+    generator, set back to the start of each trial's stream before its
+    draw, so `draw` may not keep `rng` after it returns.
+    """
     if trials < 1:
         raise InvalidParam(f"need at least 1 trial, got {trials}")
-    prefix = _key(seed, *labels)
-    return _score_blocks((draw(_philox(prefix + _key(t))) for t in range(trials)), score)
+    # a trial index below 2**32 is one key word
+    keys = _stream_key([*_key_words(seed, *labels), np.arange(trials, dtype=np.uint32)])
+    rng = np.random.Generator(np.random.Philox())
+    bitgen = rng.bit_generator
+
+    def draws():
+        for key in keys:
+            # counter 0 and empty output buffers: a freshly keyed Philox
+            bitgen.state = {"bit_generator": "Philox",
+                            "state": {"counter": [0, 0, 0, 0], "key": key},
+                            "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                            "has_uint32": 0, "uinteger": 0}
+            yield draw(rng)
+
+    return _score_blocks(draws(), score)
 
 
 def sample_gaussian_copula(rho: float, n: int, rng: np.random.Generator) -> Sample:
@@ -234,7 +302,8 @@ class DependencySpec:
     noise_mode -- multiplicative y(1+p*eps), additive y+p*eps, or
                   r2_additive where the noise variance is chosen so the
                   coefficient of determination equals `r2`
-    x_range    -- interval X is drawn uniformly from (ignored by circular)
+    x_range    -- (lo, hi), finite with lo < hi: the interval X is drawn
+                  uniformly from (ignored by circular)
     freq       -- angular frequency for the sinusoidal kind
     fn_id   -- function id 1..10 for kind "testfn"
     r2         -- target R^2 in (0, 1] for r2_additive mode
@@ -260,8 +329,14 @@ class DependencySpec:
         if self.noise_mode == "r2_additive":
             if self.r2 is None or not 0.0 < self.r2 <= 1.0:
                 raise InvalidParam("r2_additive mode needs r2 in (0, 1]")
-        if self.x_range is not None and not self.x_range[0] < self.x_range[1]:
-            raise InvalidParam("x_range must be an increasing interval")
+        if self.x_range is not None:
+            try:
+                lo, hi = map(float, self.x_range)
+            except (TypeError, ValueError):
+                lo = hi = math.nan
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+                raise InvalidParam(
+                    f"x_range must be two finite, increasing bounds, got {self.x_range!r}")
 
     @property
     def effective_x_range(self) -> tuple[float, float]:

@@ -310,6 +310,11 @@ class TestGen:
         assert -1.0 <= data[:, 0].min() and data[:, 0].max() <= 2.5
         assert np.array_equal(data[:, 1], np.cos(data[:, 0]))
 
+    @pytest.mark.parametrize("bounds", ["0,inf", "nan,1", "2,1"])
+    def test_bad_x_range_exits_2(self, bounds, capsys):
+        assert main(["gen", f"--x-range={bounds}", "--n", "10"]) == 2
+        assert "x_range must be two finite, increasing bounds" in capsys.readouterr().err
+
     def test_header_format(self, tmp_path):
         path = str(tmp_path / "g.csv")
         assert main(["gen", "--kind", "circular", "--n", "10", "--out", path]) == 0

@@ -1,6 +1,7 @@
 """Core layer: rank transform, empirical copula, bounds, relative distance."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,6 +89,22 @@ class TestPseudoObservations:
         col = rng.integers(0, 5, size=20).astype(float)
         ps = pseudo_observations(Sample.from_columns([col, rng.normal(size=20)]))
         assert np.allclose(ps.u[:, 0], np.array(naive_ranks(col)) / 20)
+
+
+class TestRanked:
+    def test_matches_stable_sort_where_only_some_columns_tie(self):
+        rng = np.random.default_rng(21)
+        x = rng.random((4, 90, 3))
+        x[1, :, 2] = rng.integers(0, 6, size=90)  # one tied column in one sample
+        x[3, :, 0] = rng.integers(0, 3, size=90)
+        x[3, :, 1] = np.round(x[3, :, 1], 1)
+        x0 = x.copy()
+        order, pos = copula_core._ranked(x)
+        want = np.argsort(x.transpose(0, 2, 1), axis=2, kind="stable")
+        assert np.array_equal(order, want)
+        assert np.array_equal(np.take_along_axis(pos, order, axis=2),
+                              np.broadcast_to(np.arange(90), order.shape))
+        assert np.array_equal(x, x0)
 
 
 class TestPseudoSample:
@@ -232,6 +249,39 @@ class TestDominanceCounts:
             assert dominance_counts(ps).tolist() == _naive_counts(ps)
 
 
+def _trace_kernel_inputs(x):
+    """`_dominance_counts`' inputs for a (T, n, d) stack whose samples share
+    column 0, the sort axis: stable trace order, per-column stable
+    positions and last tied positions, and the shared sort-axis cut."""
+    bounds = [copula_core._tie_bounds(sample) for sample in x]
+    traces = [order[0] for order, _, _ in bounds]
+    rank = np.stack([copula_core._positions(order)[1:][:, trace]
+                     for (order, _, _), trace in zip(bounds, traces)], axis=1)
+    row = np.stack([right[1:][:, trace] - 1
+                    for (_, _, right), trace in zip(bounds, traces)], axis=1)
+    cut = bounds[0][2][0, traces[0]] - 1
+    return traces, rank, row, cut
+
+
+class TestTraceKernel:
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("n", [63, 64, 65, 128, 200])
+    def test_stack_matches_naive_count(self, n, d, tied, monkeypatch):
+        rng = np.random.default_rng(100 * n + 10 * d + tied)
+        T = 3
+        x = rng.integers(1, 5, size=(T, n, d)) / 4 if tied else rng.random((T, n, d))
+        x[:, :, 0] = x[0, :, 0]
+        traces, rank, row, cut = _trace_kernel_inputs(x)
+        want = [[naive_copula_count(sample.tolist(), sample[i].tolist()) for i in trace]
+                for sample, trace in zip(x, traces)]
+        for words in (1, 3, copula_core._PREFIX_TABLE_WORDS):
+            monkeypatch.setattr(copula_core, "_PREFIX_TABLE_WORDS", words)
+            counts = copula_core._dominance_counts(rank, row, cut)
+            assert counts.dtype == np.int64
+            assert counts.tolist() == want
+
+
 def _bivariate(kind, T, n, rng):
     """A (T, n, 2) stack: independent, comonotone or countermonotone."""
     x = rng.random((T, n, 2))
@@ -242,25 +292,32 @@ def _bivariate(kind, T, n, rng):
     return x
 
 
+def _trace_counts(order, pos, sort_axis):
+    return copula_core._trace_counts(copula_core._trace_ranks(order, pos, sort_axis))
+
+
 def _kernel_trace_counts(order, pos, sort_axis):
-    counts = copula_core._dominance_counts(pos, pos)
-    return np.take_along_axis(counts, order[:, sort_axis], axis=1)
+    rank = copula_core._trace_ranks(order, pos, sort_axis)
+    return copula_core._dominance_counts(rank, rank, np.arange(pos.shape[2]))
 
 
 class TestTraceCounts:
-    CROSSOVER = copula_core._MERGE_MIN_N
+    # the dispatch rule is under test, not the tuned crossover, so the test
+    # sets its own; TestLargeBivariate runs the library's
+    CROSSOVER = 1100
 
     @pytest.mark.parametrize("kind", ["independent", "comonotone", "countermonotone"])
     @pytest.mark.parametrize("T,n", [(1, CROSSOVER - 1), (1, CROSSOVER), (2, CROSSOVER + 37),
                                      (1, 5000)])
     def test_equal_the_kernel_across_the_crossover(self, T, n, kind, monkeypatch):
+        monkeypatch.setattr(copula_core, "_MERGE_MIN_N", self.CROSSOVER)
         order, pos = copula_core._ranked(_bivariate(kind, T, n, np.random.default_rng(n)))
         merges = []
         merge_counts = copula_core._merge_counts
         monkeypatch.setattr(copula_core, "_merge_counts",
                             lambda r: merges.append(r.shape) or merge_counts(r))
         for axis in (0, 1):
-            counts = copula_core._trace_counts(order, pos, axis)
+            counts = _trace_counts(order, pos, axis)
             assert counts.dtype == np.int64
             assert np.array_equal(counts, _kernel_trace_counts(order, pos, axis))
         assert merges == ([(T, n)] * 2 if n >= self.CROSSOVER else [])
@@ -270,7 +327,7 @@ class TestTraceCounts:
         monkeypatch.setattr(copula_core, "_merge_counts", None)  # never called
         order, pos = copula_core._ranked(np.random.default_rng(3).random((2, 50, 3)))
         for axis in range(3):
-            got = copula_core._trace_counts(order, pos, axis)
+            got = _trace_counts(order, pos, axis)
             assert np.array_equal(got, _kernel_trace_counts(order, pos, axis))
 
     @given(st.integers(1, 3), st.integers(2, 70), st.integers(0, 1),
@@ -282,7 +339,7 @@ class TestTraceCounts:
         order, pos = copula_core._ranked(x)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(copula_core, "_MERGE_MIN_N", 2)
-            counts = copula_core._trace_counts(order, pos, axis)
+            counts = _trace_counts(order, pos, axis)
         for t in range(T):
             rows = ((pos[t].T + 1) / n).tolist()
             want = [naive_copula_count(rows, rows[i]) for i in order[t, axis]]
@@ -374,6 +431,32 @@ class TestRelativeDistance:
             relative_distance([0.2, 0.3], [0.4, 0.9])
         with pytest.raises(BoundsViolated, match="exceeds upper bound 0.4"):
             relative_distance([0.1, 0.9], [[0.2, 0.5], [0.4, 0.9]])
+
+    def test_batch_call_keeps_its_input_and_a_small_peak(self):
+        # the 4,200-run block of a Monte Carlo batch: minima and maxima
+        rng = np.random.default_rng(33)
+        p = rng.random((2, 4200, 2))
+        lower, upper = frechet_lower(p), frechet_upper(p)
+        c = lower + (upper - lower) * rng.random((2, 4200))
+        c0 = c.copy()
+        want = relative_distance(c, p, 1 / 400)
+        assert np.array_equal(c, c0)
+        tracemalloc.start()
+        try:
+            got = relative_distance(c, p, 1 / 400)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert peak <= 244 * 1024
+
+    def test_envelopes_an_ulp_apart(self):
+        # at (1, 0.1) the float lower envelope exceeds the upper one by an ulp
+        p = [1.0, 0.1]
+        assert frechet_lower(p) > frechet_upper(p)
+        assert relative_distance(0.1, p, 1e-3) == 1.0
+        with pytest.raises(BoundsViolated, match="below lower bound 0.10000000000000009"):
+            relative_distance(0.1, p)
 
     def test_tolerance_clamps(self):
         p = [0.4, 0.9]

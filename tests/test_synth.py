@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from copstat import (
@@ -54,6 +56,36 @@ class TestDeriveRng:
             derive_rng(-1, "x")
 
 
+class TestStreamKey:
+    @given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_is_seed_sequences_state(self, words):
+        want = np.random.SeedSequence(np.array(words, dtype=np.uint32)).generate_state(2, np.uint64)
+        assert synth._stream_key(words).tolist() == want.tolist()
+
+    @pytest.mark.parametrize("length", range(1, 9))
+    def test_short_entropy_is_zero_padded(self, length):
+        # SeedSequence hashes zeros into a pool longer than its entropy, so
+        # trailing zero words below the pool size give the same key
+        words = [7] * length
+        key = synth._stream_key(words).tolist()
+        if length < 4:
+            assert key == synth._stream_key(words + [0] * (4 - length)).tolist()
+        want = np.random.SeedSequence(np.array(words, dtype=np.uint32)).generate_state(2, np.uint64)
+        assert key == want.tolist()
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 8])
+    def test_array_words_key_each_stream(self, length):
+        # one call over uint32 columns gives each row's key
+        rows = np.random.default_rng(length).integers(0, 2**32, size=(50, length), dtype=np.uint32)
+        rows[:3] = 0
+        rows[3:6] = 2**32 - 1
+        keys = synth._stream_key([*rows.T])
+        assert keys.shape == (50, 2)
+        for row, key in zip(rows.tolist(), keys.tolist()):
+            assert key == synth._stream_key(row).tolist()
+
+
 class TestMcValues:
     def test_trial_streams_are_derive_rng(self):
         labels = ("x", 3, "y")
@@ -86,6 +118,21 @@ class TestMcValues:
         vals = mc_values(seed, labels, 3, lambda rng: rng.random((2, 2)), lambda b: b[:, 1, 1])
         assert vals.tolist() == [derive_rng(seed, *labels, t).random((2, 2))[1, 1]
                                  for t in range(3)]
+
+    @pytest.mark.parametrize("seed, labels", [(0, ()), (11, ("fresh", 2**40))])
+    def test_reset_generator_matches_a_fresh_one(self, seed, labels):
+        # each draw leaves a part-used Philox buffer and a cached uint32
+        # half-word, which the next trial's reset must discard
+        def draw(rng):
+            values = [rng.random(3), rng.uniform(-2.0, 5.0, 3), rng.standard_normal(5),
+                      rng.exponential(2.0, 3), rng.integers(0, 2**32, 3, dtype=np.uint32)]
+            return np.concatenate(values)[:, None]
+
+        blocks = []
+        mc_values(seed, labels, 7, draw, lambda b: blocks.append(b.copy()) or b[:, 0, 0])
+        got = np.concatenate(blocks)
+        for t in range(7):
+            assert np.array_equal(got[t], draw(seed_sequence_rng(seed, *labels, t)))
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_needs_a_trial(self, trials):
@@ -203,7 +250,9 @@ class TestDependencySpec:
         with pytest.raises(InvalidParam):
             DependencySpec(kind="testfn", fn_id=11)
 
-    @pytest.mark.parametrize("x_range", [(1.0, -1.0), (2.0, 2.0)])
+    @pytest.mark.parametrize("x_range", [(1.0, -1.0), (2.0, 2.0), (0.0,), (0.0, 1.0, 2.0),
+                                         (0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0),
+                                         ("a", "b"), 5.0])
     def test_x_range_must_increase(self, x_range):
         with pytest.raises(InvalidParam, match="increasing"):
             DependencySpec(kind="linear", x_range=x_range)
