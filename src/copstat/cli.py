@@ -8,8 +8,10 @@ failure.  All randomized subcommands are deterministic given --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
+import re
 import sys
 from dataclasses import asdict, fields
 
@@ -39,47 +41,58 @@ FLOAT_FMT = "%.17g"
 # ---------------------------------------------------------------- CSV I/O
 
 
+#: any character that is not a line end
+_LINE_CHAR = re.compile(r"[^\r\n]")
+
+
 def read_csv(path):
     """Read a headered numeric CSV; fully blank rows are skipped, rows with
     empty cells are dropped with a warning, and non-numeric cells or rows
     of the wrong width abort with the offending row (and column)."""
-    reader = _csv_rows(path)
+    text = _read_text(path)
+    lines, reader = _csv_rows(text)
     try:
-        header = next(reader)
+        header = [h.strip() for h in next(reader)]
     except StopIteration:
         raise CopstatError(f"{path}: empty file") from None
-    header = [h.strip() for h in header]
-    rows = list(reader)
-    # numpy converts str cells with float(), so when every row with a
-    # non-empty cell parses whole, at the header's width, one call reads the
-    # file as the row loop would; a row of whitespace cells fails float()
-    # and takes the loop, which skips it
-    cells = list(filter(any, rows))
-    try:
-        data = np.array(cells, dtype=float)
-        if data.shape == (len(cells), len(header)):
-            return header, data
-    except ValueError:
-        pass
-    return header, _parse_rows(path, header, rows)
+    start = lines.tell()
+    # numpy's C reader converts a cell as float() does and rejects the cells
+    # float() reads otherwise (quotes, underscores, non-ASCII digits), blank
+    # cells and ragged rows, so a file it reads whole, at the header's
+    # width, is what the row loop would read.  It warns on input with no
+    # data line, which the loop rejects anyway.
+    if _LINE_CHAR.search(text, start):
+        try:
+            data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if data.shape[1] == len(header):
+                return header, data
+        lines.seek(start)
+    return header, _parse_rows(path, header, reader)
 
 
 def _read_text(path) -> str:
-    """The file at `path` decoded as UTF-8, newlines untranslated; a file
-    that is not UTF-8 raises CopstatError naming it and its first bad byte."""
+    """The file at `path` decoded as UTF-8, newlines untranslated, less a
+    leading byte-order mark; a file that is not UTF-8 raises CopstatError
+    naming it and its first bad byte."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CopstatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    # as the utf-8-sig codec does, but bad bytes stay counted from the file's start
+    return text.removeprefix("\ufeff")
 
 
-def _csv_rows(path):
-    """A csv reader over the rows of the UTF-8 file at `path`."""
+def _csv_rows(text: str):
+    """`text` as a stream of lines, and a csv reader over them."""
     import csv  # on first use: importing copstat.cli leaves it unloaded
 
-    return csv.reader(io.StringIO(_read_text(path), newline=""))
+    lines = io.StringIO(text, newline="")
+    return lines, csv.reader(lines)
 
 
 def _parse_rows(path, header, rows) -> np.ndarray:
@@ -290,7 +303,7 @@ def cmd_netscore(args) -> int:
 
 
 def _read_edges(path):
-    reader = _csv_rows(path)
+    _, reader = _csv_rows(_read_text(path))
     header = next(reader, None)
     if header is None or len(header) < 2:
         raise CopstatError(f"{path}: edge list needs two name columns")
@@ -431,8 +444,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser()'s parser, built once per process: parse_args reads a
+    parser without changing it and gives each call a new namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CopstatError as exc:

@@ -12,10 +12,11 @@ path becomes uint32 words (`_key_words`), and `_stream_key` mixes them
 into a 128-bit Philox key exactly as numpy's SeedSequence would, so a
 stream is numpy's Philox(SeedSequence(words)).  A Philox stream is fixed
 by its key and counter, so it can be replayed from its start by setting
-the key with a zero counter on any Philox generator.  `derive_rng` keys a
-new generator; `mc_values` runs Monte Carlo trials, one stream per trial,
-keys all of them in one array pass, replays each on one reused generator
-and scores the trials in blocks.
+the key with a zero counter on any Philox generator.  `derive_rng` builds
+a new generator on SeedSequence(words) itself, so it can spawn;
+`mc_values` runs Monte Carlo trials, one stream per trial, keys all of
+them in one array pass, replays each on one reused generator and scores
+the trials in blocks.
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ def derive_rng(seed: int, *labels) -> np.random.Generator:
     each derive their own.  The stream is numpy's
     Philox(SeedSequence(words)) for the path's uint32 words (see `_key_words`).
     """
-    return np.random.Generator(np.random.Philox(key=_stream_key(_key_words(seed, *labels))))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(_key_words(seed, *labels))))
 
 
 #: Cells (samples x n x d) per block that _score_blocks hands to its

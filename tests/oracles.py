@@ -351,13 +351,14 @@ def naive_score_matrix(matrix, true_edges):
 
 def loop_read_csv(path):
     """copstat.cli.read_csv one row at a time: each row is checked and
-    converted with float() cell by cell."""
+    converted with float() cell by cell.  A leading byte-order mark is not
+    part of the header."""
     import csv
     import sys
 
     from copstat import CopstatError
 
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]

@@ -5,8 +5,11 @@ from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from copstat import (
+    DEFAULT_NULL_CURVE,
     CalibrationCurve,
     CopstatError,
     copula_statistic,
@@ -15,7 +18,7 @@ from copstat import (
     run_power,
 )
 from copstat import cli
-from copstat.cli import main, read_csv
+from copstat.cli import FLOAT_FMT, main, read_csv
 from copstat.statistic import DomainRecord
 
 from oracles import loop_dependence_matrix, loop_read_csv, naive_score_matrix
@@ -25,8 +28,26 @@ DOMAIN_FIELDS = [f.name for f in fields(DomainRecord)]
 
 
 def write(path, text):
-    path.write_text(text, encoding="utf-8")
+    path.write_text(text, encoding="utf-8", newline="")
     return str(path)
+
+
+BOM = "\ufeff"
+
+
+def _same_output_with_a_bom(argv, paths, capsys):
+    """main(argv)'s exit code and output are the same after each file in
+    `paths` gains a UTF-8 byte-order mark."""
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    for path in paths:
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(BOM + text)
+    assert main(argv) == 0
+    assert capsys.readouterr() == plain
+    return plain.out
 
 
 @pytest.fixture
@@ -42,6 +63,11 @@ class TestCos:
         assert doc["cos"] == 1.0
         assert doc["n"] == 40 and doc["d"] == 2 and doc["m"] == 1
         assert doc["domains"]["gamma"] == [1.0]
+
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, comono_csv, capsys):
+        out = _same_output_with_a_bom(["cos", comono_csv, "--columns", "x,y"], [comono_csv],
+                                      capsys)
+        assert json.loads(out)["columns"] == ["x", "y"]
 
     def test_column_selection_by_name_and_index(self, tmp_path, capsys):
         path = write(tmp_path / "t.csv", "a,b,c\n1,9,1\n2,8,4\n3,7,9\n4,6,16\n")
@@ -193,6 +219,27 @@ CSV_CASES = {
     "single_column": "x\n1\n2\n3\n",
     "empty_header": "\n1,2\n",
     "empty_file": "",
+    "crlf": "x,y\r\n1,2\r\n\r\n3.5,-4e-3\r\n",
+    "cr_only": "x,y\r1,2\r\r3.5,-4e-3\r",
+    "mixed_line_ends": "x,y\n1,2\r\n3,4\r5,6\n",
+    "crlf_missing_cell": "x,y\r\n1,\r\n3,4\r\n",
+    "quoted_header": '"x","y"\n1,2\n3,4\n',
+    "two_line_quoted_header": '"x\ny",z\n1,2\n3,4\n',
+    "two_line_quoted_header_bad_cell": '"x\ny",z\n1,2\n3,zap\n',
+    "bom_header": "\ufeffx,y\n1,2\n3,4\n",
+    "bom_only": "\ufeff",
+    "hash_cell": "x,y\n1,2\n#3,4\n",
+    "hash_after_value": "x,y\n1,2 # note\n3,4\n",
+    "single_row": "x,y\n1,2\n",
+    "single_row_single_column": "x\n1.5\n",
+    "no_final_newline": "x,y\n1,2\n3,4",
+    "header_only_no_newline": "x,y",
+    "header_then_blank_lines": "x,y\n\n\r\n\r",
+    "whitespace_line": "x,y\n1,2\n  \t\n3,4\n",
+    "narrow_rows": "x,y,z\n1,2\n3,4\n",
+    "nul_in_cell": "x,y\n1,2\x00\n3,4\n",
+    "unicode_space": "x,y\n1\u00a0,2\n3,\u20034\n",
+    "signed_nan": "x,y\n-nan,+nan\n-inf,+inf\n",
 }
 
 
@@ -219,6 +266,32 @@ class TestReadCsvMatchesRowLoop:
         got = _outcome(read_csv, str(path), capsys)
         assert got == _outcome(loop_read_csv, str(path), capsys)
         assert got[0][3] == data.tobytes()
+
+    @given(rows=st.integers(1, 6).flatmap(lambda d: st.lists(
+               st.lists(st.floats(width=64), min_size=d, max_size=d), min_size=1, max_size=12)),
+           fmt=st.sampled_from([repr, FLOAT_FMT.__mod__]))
+    @settings(max_examples=200, deadline=None)
+    def test_written_floats_read_back_as_the_loop_reads_them(self, rows, fmt, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "floats.csv"
+        header = [f"c{i}" for i in range(len(rows[0]))]
+        write(path, "\n".join([",".join(header)] + [",".join(map(fmt, r)) for r in rows]) + "\n")
+        got, want = read_csv(str(path)), loop_read_csv(str(path))
+        assert got[0] == want[0] == header
+        assert got[1].shape == want[1].shape and got[1].tobytes() == want[1].tobytes()
+        # both formats round-trip every double; a NaN reads back as the positive one
+        assert np.array_equal(got[1], np.array(rows), equal_nan=True)
+
+    def test_clean_file_takes_numpys_reader(self, tmp_path, monkeypatch):
+        data = np.random.default_rng(8).normal(size=(5000, 2))
+        path = tmp_path / "clean.csv"
+        np.savetxt(path, data, fmt="%.17g", delimiter=",", header="x,y", comments="")
+
+        def row_loop(*args):
+            raise AssertionError("a clean file reached the row loop")
+
+        monkeypatch.setattr(cli, "_parse_rows", row_loop)
+        header, got = read_csv(str(path))
+        assert header == ["x", "y"] and got.tobytes() == data.tobytes()
 
 
 class TestReturns:
@@ -255,6 +328,13 @@ class TestInvalidInput:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and f"{path}: not UTF-8" in err, err
 
+    def test_bad_byte_after_a_byte_order_mark_counts_from_the_file_start(self, tmp_path, capsys):
+        bad_csv = tmp_path / "bad.csv"
+        bad_csv.write_bytes(b"\xef\xbb\xbfx,y\n\xff,3\n")
+        assert main(["cos", str(bad_csv)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad_csv}: not UTF-8 text: invalid start byte at byte 7\n")
+
     @pytest.mark.parametrize("argv, flag", [
         (["calibrate", "--grid", "100,abc"], "--grid"),
         (["bias", "--grid", "1e2"], "--grid"),
@@ -278,6 +358,29 @@ class TestInvalidInput:
         monkeypatch.setattr(cli, "copula_statistic", boom)
         assert main(["cos", comono_csv]) == 3
         assert capsys.readouterr().err == "failure: boom\n"
+
+
+class TestSharedParser:
+    def test_is_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_argparse_error_then_a_good_call(self, comono_csv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cos", comono_csv, "--sort-axis", "one"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["cos", comono_csv]) == 0
+        assert json.loads(capsys.readouterr().out)["sort_axis"] == 0
+
+    def test_calls_do_not_share_options(self, tmp_path, comono_csv, capsys):
+        assert main(["cos", comono_csv, "--sort-axis", "1"]) == 0
+        assert main(["cos", comono_csv]) == 0
+        first, second = capsys.readouterr().out.splitlines()
+        assert json.loads(first)["sort_axis"] == 1 and json.loads(second)["sort_axis"] == 0
+        assert main(["ripley", "--n", "5", "--out", str(tmp_path / "r.csv")]) == 0
+        assert main(["gen", "--n", "5", "--out", str(tmp_path / "g.csv")]) == 0
+        assert json.loads((tmp_path / "r.csv.json").read_text())["seed"] == 1
+        assert json.loads((tmp_path / "g.csv.json").read_text())["seed"] == 0
 
 
 class TestGen:
@@ -387,6 +490,12 @@ class TestItestAndCalibrate:
         assert main(["itest", comono_csv, "--curve", curve]) == 2
         assert message in capsys.readouterr().err
 
+    def test_byte_order_marks_on_data_and_curve(self, tmp_path, capsys, comono_csv):
+        curve = write(tmp_path / "curve.json", DEFAULT_NULL_CURVE.to_json())
+        out = _same_output_with_a_bom(["itest", comono_csv, "--columns", "x,y", "--curve", curve],
+                                      [comono_csv, curve], capsys)
+        assert json.loads(out)["decision"] == "dependent"
+
     def test_calibrate_invalid_grid_exits_2(self, capsys):
         assert main(["calibrate", "--grid", "10,20", "--trials", "200"]) == 2
 
@@ -462,6 +571,15 @@ class TestNetscore:
         assert main(["netscore", expr, "--edges", edges, "--metric", "pearson"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["auc"] == 1.0 and doc["f_max"] == 1.0
+
+    def test_byte_order_marks_on_expression_and_edges(self, tmp_path, capsys):
+        # g1, the first gene, is in the only true edge
+        expr = _separator_expr(tmp_path)
+        edges = write(tmp_path / "edges.csv", "g1,g2\ng1,g2\n")
+        out = _same_output_with_a_bom(["netscore", expr, "--edges", edges, "--metric", "pearson"],
+                                      [expr, edges], capsys)
+        doc = json.loads(out)
+        assert doc["genes"][0] == "g1" and doc["auc"] == 1.0
 
     @pytest.mark.parametrize("metric", ["cos", "pearson", "dcor"])
     def test_output_bytes_match_the_loop_oracles(self, tmp_path, capsys, metric):

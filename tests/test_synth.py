@@ -49,6 +49,20 @@ class TestDeriveRng:
         want = seed_sequence_rng(seed, *labels).random(8)
         assert np.array_equal(derive_rng(seed, *labels).random(8), want)
 
+    def test_is_the_stream_key_stream(self):
+        # derive_rng's stream is the one mc_values replays for the same words
+        for seed, labels in [(0, ()), (7, ("x", 3)), (2**64, ("y", 2**40 + 3))]:
+            key = synth._stream_key(synth._key_words(seed, *labels))
+            want = np.random.Generator(np.random.Philox(key=key)).random(8)
+            assert np.array_equal(derive_rng(seed, *labels).random(8), want)
+
+    def test_spawns_the_seed_sequences_children(self):
+        children = derive_rng(7, "x", 3).spawn(3)
+        want = seed_sequence_rng(7, "x", 3).spawn(3)
+        for got, ref in zip(children, want, strict=True):
+            assert np.array_equal(got.random(8), ref.random(8))
+        assert len({child.random() for child in derive_rng(7, "x", 3).spawn(3)}) == 3
+
     def test_rejects_negative_integers(self):
         with pytest.raises(InvalidParam, match="non-negative"):
             derive_rng(0, "x", -1)
