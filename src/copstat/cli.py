@@ -96,14 +96,16 @@ def _csv_rows(text: str):
 
 
 def _parse_rows(path, header, rows) -> np.ndarray:
-    """The data rows, checked one at a time: the warning for dropped rows
-    and the error for the first bad row come from here."""
+    """The data rows of csv reader `rows`, checked one at a time: the
+    warning for dropped rows and the error for the first bad row come from
+    here.  An error names the row by the file line it ends on."""
     width = len(header)
     kept = []
     dropped = 0
-    for lineno, row in enumerate(rows, start=2):
+    for row in rows:
         if not any(map(str.strip, row)):
             continue
+        lineno = rows.line_num
         if len(row) != width:
             raise CopstatError(f"{path}: row {lineno} has {len(row)} cells, header has {width}")
         if not all(map(str.strip, row)):
@@ -175,17 +177,20 @@ def cmd_cos(args) -> int:
     if data.shape[1] < 2:
         raise CopstatError("need at least 2 selected columns")
     report = copula_statistic(Sample(data), sort_axis=args.sort_axis)
-    names = [f.name for f in fields(DomainRecord)]
-    # one list per DomainRecord field; runs are their rows
     payload = {
         "cos": report.cos,
         "n": report.n,
         "d": report.d,
         "m": report.m,
         "sort_axis": report.sort_axis,
+        "sort_column": header[report.sort_axis],
         "columns": header,
-        "domains": dict(zip(names, report.domain_columns())),
+        "summary": report.summary(),
     }
+    if args.domains:
+        # one list per DomainRecord field; runs are their rows
+        names = [f.name for f in fields(DomainRecord)]
+        payload["domains"] = dict(zip(names, report.domain_columns()))
     emit_json(args.out, payload)
     return 0
 
@@ -363,6 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--columns", default=None, help="comma-separated names or indices")
     p.add_argument("--sort-axis", type=int, default=0)
+    p.add_argument("--domains", action="store_true",
+                   help="also write the per-run lists (their size grows with the sample)")
     common(p)
     p.set_defaults(func=cmd_cos)
 

@@ -42,6 +42,11 @@ from .errors import InvalidInput
 NON_DECREASING = "non-decreasing"
 NON_INCREASING = "non-increasing"
 
+#: CosReport.summary()'s run-length groups, in points per run, and the
+#: smallest length of every group after the first
+RUN_GROUPS = ("2", "3", "4-5", ">5")
+_GROUP_STARTS = np.array([3, 4, 6])
+
 
 class Trace(NamedTuple):
     """Empirical copula evaluated along the sample sorted by one axis.
@@ -142,6 +147,34 @@ class CosReport:
     def domains(self) -> tuple[DomainRecord, ...]:
         """The runs as DomainRecord records, built on each access."""
         return tuple(map(DomainRecord, *self.domain_columns()))
+
+    def summary(self) -> dict:
+        """The runs grouped by length, as a dict ready for JSON.
+
+        `groups` names the groups (2, 3, 4-5 and more than 5 points); the
+        lists after it give, group by group, the number of runs, their
+        points, the runs credited as local optima and the group's share of
+        the score, sum(n_points * gamma) / (n + m - 1), so the shares add
+        up to `cos`.  `flagged_boundaries` counts the interior boundaries
+        flagged as local optima.  The dict's size does not depend on m.
+        """
+        n_points = self.n_points
+        group = np.searchsorted(_GROUP_STARTS, n_points, side="right")
+        k = len(RUN_GROUPS)
+        credited = self.local_opt_min | self.local_opt_max
+        # adjacent runs turn opposite ways, so a flag on the side a run turns
+        # (a rising run's maximum, a falling run's minimum) is the flag of
+        # the boundary that ends it
+        flagged = np.where(self.rising, self.local_opt_max, self.local_opt_min)
+        share = np.bincount(group, n_points * self.gamma, k) / (self.n + self.m - 1)
+        return {
+            "groups": list(RUN_GROUPS),
+            "runs": np.bincount(group, minlength=k).tolist(),
+            "points": np.bincount(group, n_points, k).astype(np.int64).tolist(),
+            "credited": np.bincount(group[credited], minlength=k).tolist(),
+            "share": share.tolist(),
+            "flagged_boundaries": int(np.count_nonzero(flagged)),
+        }
 
     def __eq__(self, other):
         if not isinstance(other, CosReport):

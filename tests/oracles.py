@@ -144,6 +144,34 @@ def naive_cos_report(rows, sort_axis):
     return total / (n + m - 1), m, domains
 
 
+def loop_cos_summary(report):
+    """CosReport.summary() by a loop over report.domains: each run is
+    added to its length group, and a boundary is flagged when the runs on
+    both sides carry the flag of the way the first of them turns."""
+    groups = ["2", "3", "4-5", ">5"]
+    runs, points, credited, weight = [0] * 4, [0] * 4, [0] * 4, [0.0] * 4
+    records = report.domains
+    for rec in records:
+        g = 0 if rec.n_points <= 2 else 1 if rec.n_points == 3 else 2 if rec.n_points <= 5 else 3
+        runs[g] += 1
+        points[g] += rec.n_points
+        credited[g] += rec.local_opt_min or rec.local_opt_max
+        weight[g] += rec.n_points * rec.gamma
+    flagged = 0
+    for left, right in zip(records, records[1:]):
+        side = "local_opt_max" if left.direction == "non-decreasing" else "local_opt_min"
+        flagged += getattr(left, side) and getattr(right, side)
+    total = report.n + len(records) - 1
+    return {
+        "groups": groups,
+        "runs": runs,
+        "points": points,
+        "credited": credited,
+        "share": [w / total for w in weight],
+        "flagged_boundaries": flagged,
+    }
+
+
 def naive_kendall_mv(rows):
     """Multivariate Kendall tau of a list of d-tuples: the copula plug-in
     over ordered pairs of distinct points, with the dominance total counted
@@ -351,8 +379,9 @@ def naive_score_matrix(matrix, true_edges):
 
 def loop_read_csv(path):
     """copstat.cli.read_csv one row at a time: each row is checked and
-    converted with float() cell by cell.  A leading byte-order mark is not
-    part of the header."""
+    converted with float() cell by cell, and an error names the row by the
+    file line it ends on.  A leading byte-order mark is not part of the
+    header."""
     import csv
     import sys
 
@@ -366,9 +395,10 @@ def loop_read_csv(path):
             raise CopstatError(f"{path}: empty file") from None
         rows = []
         dropped = 0
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if all(not c.strip() for c in row):
                 continue
+            lineno = reader.line_num
             if len(row) != len(header):
                 raise CopstatError(
                     f"{path}: row {lineno} has {len(row)} cells, header has {len(header)}")

@@ -1,7 +1,12 @@
 """Command-line interface: parsing, dispatch, file round-trips, exit codes."""
 
 import json
+import os
+import re
+import subprocess
+import sys
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,7 +63,7 @@ def comono_csv(tmp_path):
 
 class TestCos:
     def test_comonotonic_json(self, comono_csv, capsys):
-        assert main(["cos", comono_csv]) == 0
+        assert main(["cos", comono_csv, "--domains"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["cos"] == 1.0
         assert doc["n"] == 40 and doc["d"] == 2 and doc["m"] == 1
@@ -94,6 +99,17 @@ class TestCos:
         err = capsys.readouterr().err
         assert "row 3" in err and "'y'" in err and "zap" in err
 
+    def test_python_dash_m_runs_the_command_line(self, comono_csv, capsys):
+        assert main(["cos", comono_csv]) == 0
+        want = capsys.readouterr().out
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "copstat", "cos", comono_csv],
+                              env=env, capture_output=True, check=False)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == want.encode()
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["cos", str(tmp_path / "absent.csv")]) == 2
 
@@ -110,7 +126,7 @@ class TestCos:
         data = np.column_stack([x, np.sin(9 * x) + 0.3 * rng.normal(size=300)])
         path = tmp_path / "noisy.csv"
         np.savetxt(path, data, fmt="%.17g", delimiter=",", header="x,y", comments="")
-        assert main(["cos", str(path)]) == 0
+        assert main(["cos", str(path), "--domains"]) == 0
         doc = json.loads(capsys.readouterr().out)
         report = copula_statistic(data)
         assert report.m > 10
@@ -126,15 +142,56 @@ class TestCos:
         data = rng.random((200, 2))
         path = tmp_path / "u.csv"
         np.savetxt(path, data, fmt="%.17g", delimiter=",", header="a,b", comments="")
+        assert main(["cos", str(path), "--domains"]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("\n") and out.count("\n") == 1
+        report = copula_statistic(data)
+        assert json.loads(out) == {
+            "cos": report.cos, "n": 200, "d": 2, "m": report.m, "sort_axis": 0,
+            "sort_column": "a", "columns": ["a", "b"], "summary": report.summary(),
+            "domains": dict(zip(DOMAIN_FIELDS, report.domain_columns())),
+        }
+
+    def test_writes_one_line_of_json_without_domains_by_default(self, tmp_path, capsys):
+        rng = np.random.default_rng(12)
+        data = rng.random((200, 2))
+        path = tmp_path / "u.csv"
+        np.savetxt(path, data, fmt="%.17g", delimiter=",", header="a,b", comments="")
         assert main(["cos", str(path)]) == 0
         out = capsys.readouterr().out
         assert out.endswith("\n") and out.count("\n") == 1
         report = copula_statistic(data)
         assert json.loads(out) == {
             "cos": report.cos, "n": 200, "d": 2, "m": report.m, "sort_axis": 0,
-            "columns": ["a", "b"],
-            "domains": dict(zip(DOMAIN_FIELDS, report.domain_columns())),
+            "sort_column": "a", "columns": ["a", "b"], "summary": report.summary(),
         }
+
+    def test_default_keys_and_sort_column(self, tmp_path, capsys):
+        rng = np.random.default_rng(13)
+        path = tmp_path / "abc.csv"
+        np.savetxt(path, rng.random((40, 3)), fmt="%.17g", delimiter=",", header="a,b,c",
+                   comments="")
+        for argv, column in [([], "a"), (["--sort-axis", "2"], "c"),
+                             (["--columns", "c,a", "--sort-axis", "1"], "a")]:
+            assert main(["cos", str(path), *argv]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert list(doc) == ["cos", "n", "d", "m", "sort_axis", "sort_column", "columns",
+                                 "summary"]
+            assert doc["sort_column"] == column == doc["columns"][doc["sort_axis"]]
+            assert list(doc["summary"]) == ["groups", "runs", "points", "credited", "share",
+                                            "flagged_boundaries"]
+        assert main(["cos", str(path), "--domains"]) == 0
+        assert list(json.loads(capsys.readouterr().out))[-2:] == ["summary", "domains"]
+
+    def test_default_document_size_does_not_grow_with_the_runs(self, tmp_path, capsys):
+        data = np.random.default_rng(14).random((5000, 2))
+        path = tmp_path / "big.csv"
+        np.savetxt(path, data, fmt="%.17g", delimiter=",", header="x,y", comments="")
+        assert main(["cos", str(path)]) == 0
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert doc["m"] >= 3000 and sum(doc["summary"]["runs"]) == doc["m"]
+        assert len(out.encode()) < 1024
 
     def test_format_option_rejected(self, comono_csv, capsys):
         # cos writes JSON only, so asking for CSV is a usage error
@@ -184,6 +241,18 @@ class TestReadCsv:
         with pytest.raises(CopstatError, match=r"row 3, column 'y': cannot parse 'zap'"):
             read_csv(path)
 
+    @pytest.mark.parametrize("case, message", [
+        ("two_line_quoted_header_bad_cell", "row 4, column 'z': cannot parse 'zap'"),
+        ("two_line_quoted_cell_bad_cell", "row 4, column 'y': cannot parse 'zap'"),
+        ("two_line_quoted_cell_ragged", "row 4 has 1 cells, header has 2"),
+        ("blank_lines_bad_cell", "row 5, column 'y': cannot parse 'zap'"),
+        ("cr_only_bad_cell", "row 3, column 'y': cannot parse 'zap'"),
+    ])
+    def test_errors_name_the_line_the_row_ends_on(self, case, message, tmp_path):
+        path = write(tmp_path / f"{case}.csv", CSV_CASES[case])
+        with pytest.raises(CopstatError, match=re.escape(f"{path}: {message}")):
+            read_csv(path)
+
     def test_cells_parse_as_float_does(self, tmp_path):
         cells = [["nan", "inf"], ["-Infinity", "1_000"], [" 2.5 ", "1e-3"], ["+7", "0x1p3"]]
         text = "x,y\n" + "".join(",".join(row) + "\n" for row in cells[:3])
@@ -226,6 +295,11 @@ CSV_CASES = {
     "quoted_header": '"x","y"\n1,2\n3,4\n',
     "two_line_quoted_header": '"x\ny",z\n1,2\n3,4\n',
     "two_line_quoted_header_bad_cell": '"x\ny",z\n1,2\n3,zap\n',
+    "two_line_quoted_cell": 'x,y\n"1\n",2\n3,4\n',
+    "two_line_quoted_cell_bad_cell": 'x,y\n"1\n",2\n3,zap\n',
+    "two_line_quoted_cell_ragged": 'x,y\n"1\n",2\n3\n',
+    "blank_lines_bad_cell": "x,y\n\n1,2\n\n3,zap\n",
+    "cr_only_bad_cell": "x,y\r1,2\r3,zap\r",
     "bom_header": "\ufeffx,y\n1,2\n3,4\n",
     "bom_only": "\ufeff",
     "hash_cell": "x,y\n1,2\n#3,4\n",

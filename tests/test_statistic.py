@@ -1,5 +1,6 @@
 """The copula statistic: trace, domain partition, local optima, gamma."""
 
+import json
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from copstat import (
 from copstat import copula_core, statistic
 from copstat.statistic import _cos_batch
 
-from oracles import naive_copula_count, naive_cos_report
+from oracles import loop_cos_summary, naive_copula_count, naive_cos_report
 
 
 def make_trace(values):
@@ -407,6 +408,45 @@ class TestLargeBivariate:
             for name, got, want in zip(cases, merged, kernel):
                 assert got.cos.hex() == want.cos.hex(), (name, axis)
                 assert got.m == want.m and got == want, (name, axis)
+
+
+class TestSummary:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["random", "noisy_sine", "tied", "monotone", "countermonotonic"]),
+           st.integers(2, 400), st.integers(2, 3), st.integers(0, 1), st.integers(0, 2**32 - 1))
+    def test_groups_add_up_and_match_the_loop(self, kind, n, d, sort_axis, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "noisy_sine":
+            x = _stack("random", 1, n, d, rng)[0]
+            x[:, 1] = np.sin(9 * x[:, 0]) + 0.2 * rng.normal(size=n)
+        else:
+            x = _stack(kind, 1, n, d, rng)[0]
+        report = copula_statistic(x, sort_axis)
+        summary = report.summary()
+        assert sum(summary["runs"]) == report.m
+        assert sum(summary["points"]) == n + report.m - 1
+        assert all(c <= r for c, r in zip(summary["credited"], summary["runs"]))
+        assert summary["flagged_boundaries"] <= report.m - 1
+        assert abs(sum(summary["share"]) - report.cos) <= 1e-12
+        assert summary == loop_cos_summary(report)
+        assert json.loads(json.dumps(summary)) == summary
+
+    def test_flagged_boundaries_of_a_noisy_sine(self):
+        rng = np.random.default_rng(21)
+        x = rng.random(2000)
+        y = np.sin(14 * x) + 0.05 * rng.normal(size=2000)
+        report = copula_statistic(np.column_stack([x, y]))
+        summary = report.summary()
+        assert summary["flagged_boundaries"] >= 4 and sum(summary["credited"]) >= 8
+        assert summary == loop_cos_summary(report)
+
+    def test_monotone_sample_is_one_long_run(self):
+        x = np.arange(50.0)
+        summary = copula_statistic(np.column_stack([x, x**3])).summary()
+        assert summary == {
+            "groups": ["2", "3", "4-5", ">5"], "runs": [0, 0, 0, 1], "points": [0, 0, 0, 50],
+            "credited": [0, 0, 0, 0], "share": [0.0, 0.0, 0.0, 1.0], "flagged_boundaries": 0,
+        }
 
 
 class TestCosBatch:
