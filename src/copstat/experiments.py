@@ -12,21 +12,24 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .copula_core import Sample, as_sample
+from .copula_core import as_sample
 from .errors import DegenerateMarginal, EmptyEdgeList, InvalidInput, InvalidParam
 from .metrics import _scorer
-# copula_statistic, derive_rng and the sample_*_copula samplers stay
-# importable from this module because perfbench's tracer swaps them here
+# copula_statistic, derive_rng, gen_dependency and the sample_*_copula
+# samplers stay importable from this module because perfbench's tracer swaps
+# them here
 from .statistic import _cos_batch, copula_statistic  # noqa: F401
 from .synth import (  # noqa: F401
     _COPULA_SAMPLERS,
     DependencySpec,
+    _copula,
+    _dependency,
     _score_blocks,
+    _uniform_pairs,
     derive_rng,
     gen_dependency,
     mc_values,
     sample_clayton_copula,
-    sample_copula,
     sample_gaussian_copula,
     sample_gumbel_copula,
 )
@@ -68,8 +71,9 @@ def run_power(
     metric or the noise level, so all metrics see identical data and the
     noise grid is coupled through common random numbers; power trends in p
     are then monotone up to estimator noise rather than trial noise.
-    Signed metrics are scored by magnitude.  Trials are scored in blocks:
-    `cos` in one pass per block, the other metrics one sample at a time.
+    Signed metrics are scored by magnitude.  Each block of trials is
+    transformed to samples at once and scored: `cos` in one pass per
+    block, the other metrics one sample at a time.
     """
     score = _scorer(metric, InvalidParam, magnitude=True)
     if trials < 100 or n < 100:
@@ -82,12 +86,13 @@ def run_power(
     powers = []
     for p in p_grid:
         spec = _as_spec(dependency, p)
-        null_vals = mc_values(seed, ("power", dep_name, "h0"), trials,
-                              lambda rng: gen_dependency(spec, n, rng, independent=True).data,
-                              score)
+        null = _dependency(spec, n, independent=True)
+        null_vals = mc_values(seed, ("power", dep_name, "h0"), trials, null.draw,
+                              lambda raw: score(null.transform(raw)), cells=2 * n)
         cutoff = float(np.quantile(null_vals, 1.0 - alpha))
-        vals = mc_values(seed, ("power", dep_name, "h1"), trials,
-                         lambda rng: gen_dependency(spec, n, rng).data, score)
+        alt = _dependency(spec, n)
+        vals = mc_values(seed, ("power", dep_name, "h1"), trials, alt.draw,
+                         lambda raw: score(alt.transform(raw)), cells=2 * n)
         powers.append(int(np.count_nonzero(vals > cutoff)) / trials)
 
     return PowerCurve(
@@ -159,8 +164,9 @@ def run_equitability(
         means = []
         for ri, r2 in enumerate(r2_grid):
             spec = DependencySpec(kind="testfn", fn_id=fid, noise_mode="r2_additive", r2=r2)
-            vals = mc_values(seed, ("equit", fid, ri), reps,
-                             lambda rng: gen_dependency(spec, n, rng).data, _cos_batch)
+            sampler = _dependency(spec, n)
+            vals = mc_values(seed, ("equit", fid, ri), reps, sampler.draw,
+                             lambda raw: _cos_batch(sampler.transform(raw)), cells=2 * n)
             means.append(float(vals.mean()))
         curves[fid] = tuple(means)
 
@@ -194,34 +200,40 @@ class BiasRow:
 
 def _source_sampler(source: str):
     """Parse a generator descriptor: 'indep', 'gauss:R', 'gumbel:T',
-    'clayton:T', or 'sin:FREQ' (noise-free sinusoid)."""
+    'clayton:T', or 'sin:FREQ' (noise-free sinusoid).  Returns the source's
+    `_Sampler` by sample size."""
     name, _, arg = source.partition(":")
     name = name.strip().lower()
-    param = float(arg) if arg else 0.0
+    try:
+        param = float(arg) if arg else 0.0
+    except ValueError:
+        raise InvalidParam(f"bias source {source!r} needs a number after ':'") from None
     if name == "indep" or (name in ("gauss", "clayton") and param == 0.0) or (
         name == "gumbel" and param == 1.0
     ):
-        return lambda n, rng: Sample(rng.random((n, 2)))
+        return _uniform_pairs
     if name in _COPULA_SAMPLERS:
-        return lambda n, rng: sample_copula(name, param, n, rng)
+        return lambda n: _copula(name, param, n)
     if name == "sin":
         spec = DependencySpec(kind="sinusoidal", freq=param, p=0.0)
-        return lambda n, rng: gen_dependency(spec, n, rng)
+        return lambda n: _dependency(spec, n)
     raise InvalidParam(f"unknown bias source {source!r}")
 
 
 def run_bias_table(sources, n_grid, trials: int = 500, seed: int = 0) -> list[BiasRow]:
     """Sample mean and standard deviation of the statistic per generator
     and sample size.  Trial t draws from the stream derived from (seed,
-    "bias", source, n, t); trials are scored in blocks."""
+    "bias", source, n, t); blocks of trials are transformed to samples and
+    scored at once."""
     if trials < 500:
         raise InvalidParam("bias tables need at least 500 trials")
     rows = []
     for source in sources:
-        sampler = _source_sampler(source)
+        sampler_at = _source_sampler(source)
         for n in n_grid:
-            vals = mc_values(seed, ("bias", source, n), trials,
-                             lambda rng: sampler(int(n), rng).data, _cos_batch)
+            sampler = sampler_at(int(n))
+            vals = mc_values(seed, ("bias", source, n), trials, sampler.draw,
+                             lambda raw: _cos_batch(sampler.transform(raw)), cells=2 * int(n))
             rows.append(BiasRow(source=source, n=int(n), mu=float(vals.mean()),
                                 sigma=float(vals.std(ddof=1))))
     return rows

@@ -19,7 +19,7 @@ from .errors import InvalidGrid, InvalidInput, InvalidParam
 from .statistic import _cos_batch, copula_statistic
 # derive_rng and sample_copula stay importable from this module because
 # perfbench's tracer swaps them here
-from .synth import derive_rng, mc_values, sample_copula  # noqa: F401
+from .synth import _copula, derive_rng, mc_values, sample_copula  # noqa: F401
 
 H0 = "independent"
 H1 = "dependent"
@@ -245,11 +245,13 @@ def type2_error(
     seed: int = 0,
 ) -> float:
     """Fraction of dependent-copula trials the test wrongly accepts as
-    independent.  Trial t draws from the stream derived from (seed,
-    "type2", copula_family, n, t); trials are scored in blocks and the
-    z-test of `test_independence` is applied to all their values at once."""
+    independent.  Trial t draws its raw variates from the stream derived
+    from (seed, "type2", copula_family, n, t); each block of trials is
+    transformed to samples and scored at once, and the z-test of
+    `test_independence` is applied to all their values at once."""
     _check_alpha(alpha)
-    cos = mc_values(seed, ("type2", copula_family, n), trials,
-                    lambda rng: sample_copula(copula_family, param, n, rng).data, _cos_batch)
+    sampler = _copula(copula_family, param, n)
+    cos = mc_values(seed, ("type2", copula_family, n), trials, sampler.draw,
+                    lambda raw: _cos_batch(sampler.transform(raw)), cells=2 * n)
     _, _, dependent = _z_test(cos, n, curve, alpha)
     return int(np.count_nonzero(~dependent)) / trials

@@ -17,6 +17,11 @@ a new generator on SeedSequence(words) itself, so it can spawn;
 `mc_values` runs Monte Carlo trials, one stream per trial, keys all of
 them in one array pass, replays each on one reused generator and scores
 the trials in blocks.
+
+Each sampler comes in two steps, a `_Sampler`: a trial's stream gives only
+the sample's raw variates, and the family's transform maps a whole block
+of raw draws to samples in one elementwise pass.  The public samplers are
+the transform of a block of one draw.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,9 +59,9 @@ RIPLEY_FORMS = {
 }
 
 #: Dependency kind -> (default X range, shape y0 = f(spec, x, t)), t being
-#: x rescaled to [0, 1] over the spec's X range.  The ranges match the ones
-#: the experiment procedures draw from; circular has no shape, as
-#: `gen_dependency` draws it from an angle.
+#: x rescaled to [0, 1] over the spec's X range, both (T, n) stacks of
+#: samples.  The ranges match the ones the experiment procedures draw from;
+#: circular has no shape, as `gen_dependency` draws it from an angle.
 _DEPENDENCIES = {
     "linear": ((0.0, 1.0), lambda spec, x, t: 2.0 * x + 1.0),
     "quadratic": ((0.0, 1.0), lambda spec, x, t: (x - 0.5 * sum(spec.effective_x_range)) ** 2),
@@ -73,12 +79,13 @@ DEPENDENCY_KINDS = tuple(_DEPENDENCIES)
 
 #: Noise mode -> noisy response y = g(spec, y0, eps) for standard normal
 #: eps: multiplicative, additive, or additive with the variance that makes
-#: the coefficient of determination spec.r2.
+#: each sample's coefficient of determination spec.r2.  y0 and eps are
+#: (T, n) stacks of samples' responses and noise draws.
 _NOISE = {
     "multiplicative": lambda spec, y0, eps: y0 * (1.0 + spec.p * eps),
     "additive": lambda spec, y0, eps: y0 + spec.p * eps,
     "r2_additive": lambda spec, y0, eps:
-        y0 + math.sqrt(float(np.var(y0)) * (1.0 / spec.r2 - 1.0)) * eps,
+        y0 + np.sqrt(np.var(y0, axis=-1, keepdims=True) * (1.0 / spec.r2 - 1.0)) * eps,
 }
 
 NOISE_MODES = tuple(_NOISE)
@@ -169,31 +176,40 @@ def derive_rng(seed: int, *labels) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(_key_words(seed, *labels))))
 
 
-#: Cells (samples x n x d) per block that _score_blocks hands to its
-#: scorer: 32 trials at n = 200, d = 2.  Bounds the block's memory.
+#: Cells (samples x n x d) of the scored samples in a block that
+#: _score_blocks hands to its scorer: 32 trials at n = 200, d = 2.  Bounds
+#: the block's memory, which the scorer's temporaries multiply about 11-fold;
+#: larger blocks were measured no faster.
 _BLOCK_CELLS = 12_800
 
 
-def _score_blocks(arrays, score) -> np.ndarray:
-    """`score`'s values of a sequence of equal-shape (n, d) arrays, in
-    order.  The arrays are stacked into blocks of at most _BLOCK_CELLS cells
-    (at least one array), and `score` maps each (T, n, d) block to its T
-    values, so every value depends only on its own array."""
+def _score_blocks(arrays, score, cells=None) -> np.ndarray:
+    """`score`'s values of a sequence of equal-shape arrays, in order.  The
+    arrays are stacked into blocks of at most _BLOCK_CELLS cells (at least
+    one array), counting `cells` per array (its size by default), and
+    `score` maps each (T, ...) block to its T values, so every value
+    depends only on its own array."""
     values, block = [], []
     for x in arrays:
         block.append(x)
-        if (len(block) + 1) * x.size > _BLOCK_CELLS:
-            values.append(score(np.stack(block)))
-            block = []
+        if (len(block) + 1) * (cells or x.size) > _BLOCK_CELLS:
+            stacked, block = np.stack(block), []  # free the per-trial arrays first
+            values.append(score(stacked))
     if block:
         values.append(score(np.stack(block)))
     return np.concatenate(values, dtype=float)
 
 
-def mc_values(seed: int, labels, trials: int, draw, score) -> np.ndarray:
-    """Values of `trials` Monte Carlo trials, shape (trials,): trial t
-    draws one (n, d) sample array with `draw(rng)` from the stream
-    derive_rng(seed, *labels, t), and `_score_blocks` scores them.
+def mc_values(seed: int, labels, trials: int, draw, score, cells=None) -> np.ndarray:
+    """Values of `trials` Monte Carlo trials, shape (trials,).
+
+    Trial t calls `draw(rng)` on the stream derive_rng(seed, *labels, t)
+    for one array: a sample's raw variates, or the sample itself.  `score`
+    maps each (T, ...) stack of draws to their T values, each depending on
+    its own draw alone; for raw variates it is a `_Sampler`'s `transform`
+    followed by a scorer of samples.  A block holds at most _BLOCK_CELLS
+    cells of scored samples, counting `cells` (n x d) per trial, or the
+    draw's size when `cells` is None.
 
     One `_stream_key` pass keys every trial's stream.  `rng` is one
     generator, set back to the start of each trial's stream before its
@@ -215,30 +231,110 @@ def mc_values(seed: int, labels, trials: int, draw, score) -> np.ndarray:
                             "has_uint32": 0, "uinteger": 0}
             yield draw(rng)
 
-    return _score_blocks(draws(), score)
+    return _score_blocks(draws(), score, cells)
+
+
+class _Sampler(NamedTuple):
+    """A bivariate sampler in two steps.  `draw(rng)` gives one sample's
+    raw variates, in stream order, as one array; `transform` maps a
+    (T, ...) stack of raw draws to the (T, n, 2) samples in one elementwise
+    pass, so the t-th sample depends only on the t-th draw and equals the
+    transform of that draw alone, bit for bit."""
+
+    draw: Callable[[np.random.Generator], np.ndarray]
+    transform: Callable[[np.ndarray], np.ndarray]
+
+
+def _sample(sampler: _Sampler, rng: np.random.Generator) -> Sample:
+    """One sample: `sampler`'s transform of a stack of its one draw."""
+    return Sample(sampler.transform(sampler.draw(rng)[None])[0])
+
+
+def _uniform_pairs(n: int) -> _Sampler:
+    """n independent uniform pairs, drawn as the sample itself."""
+    return _Sampler(lambda rng: rng.random((n, 2)), lambda raw: raw)
+
+
+def _gaussian_copula(rho: float, n: int) -> _Sampler:
+    """Two rows of n standard normals z1, z2, mapped to u = Phi(z1) and
+    v = Phi(rho z1 + sqrt(1 - rho^2) z2)."""
+    if not -1.0 < rho < 1.0:
+        raise InvalidParam(f"gauss rho must be in (-1, 1), got {rho}")
+    from scipy.special import ndtr  # imported here, as scipy is most of `import copstat`
+
+    c = math.sqrt(1.0 - rho * rho)
+    return _Sampler(lambda rng: rng.standard_normal((2, n)),
+                    lambda z: np.stack([ndtr(z[:, 0]), ndtr(rho * z[:, 0] + c * z[:, 1])], axis=-1))
+
+
+def _gumbel_copula(theta: float, n: int) -> _Sampler:
+    """The frailty construction: a positive stable S of index 1/theta,
+    drawn by Chambers-Mallows-Stuck from an angle in (0, pi) and an Exp(1)
+    variable W, is shared by both coordinates, u_i = exp(-(E_i / S)^(1/theta))
+    with E_i ~ Exp(1).  The raw draw is the n angles, then the n W and the
+    (n, 2) E in stream order; theta = 1 draws uniform pairs."""
+    if not 1.0 <= theta < math.inf:
+        raise InvalidParam(f"gumbel theta must be in [1, inf), got {theta}")
+    if theta == 1.0:
+        return _uniform_pairs(n)
+    alpha = 1.0 / theta
+
+    def draw(rng):
+        raw = np.empty((4, n))
+        raw[0] = rng.uniform(0.0, np.pi, n)
+        rng.standard_exponential(out=raw[1:])
+        return raw
+
+    def transform(raw):
+        angle, w = raw[:, 0], raw[:, 1]
+        a = np.sin(alpha * angle) / np.sin(angle) ** (1.0 / alpha)
+        b = (np.sin((1.0 - alpha) * angle) / w) ** ((1.0 - alpha) / alpha)
+        s = a * b
+        e = raw[:, 2:].reshape(len(raw), n, 2)
+        return np.exp(-((e / s[..., None]) ** alpha))
+
+    return _Sampler(draw, transform)
+
+
+def _clayton_copula(theta: float, n: int) -> _Sampler:
+    """Conditional inversion of two rows of n uniforms u, t:
+    v = ((t^(-theta/(1+theta)) - 1) u^(-theta) + 1)^(-1/theta), and
+    v = 1 - u in the countermonotonic limit theta = -1."""
+    if not -1.0 <= theta < math.inf or theta == 0.0:
+        raise InvalidParam(f"clayton theta must be in [-1, inf) and nonzero, got {theta}")
+
+    def transform(raw):
+        u, t = raw[:, 0], raw[:, 1]
+        if theta == -1.0:
+            v = 1.0 - u
+        else:
+            v = ((t ** (-theta / (1.0 + theta)) - 1.0) * u ** (-theta) + 1.0) ** (-1.0 / theta)
+        return np.stack([u, v], axis=-1)
+
+    return _Sampler(lambda rng: rng.random((2, n)), transform)
+
+
+#: The copula-family registry: the type-II error study's families and the
+#: bias tables' copula sources, each family's sampler by (param, n).
+_COPULA_SAMPLERS = {
+    "gauss": _gaussian_copula,
+    "gumbel": _gumbel_copula,
+    "clayton": _clayton_copula,
+}
+
+
+def _copula(family: str, param: float, n: int) -> _Sampler:
+    """The sampler of a named copula family; its parameter is checked."""
+    try:
+        sampler = _COPULA_SAMPLERS[family]
+    except KeyError:
+        raise InvalidParam(f"unknown copula family {family!r}") from None
+    return sampler(param, n)
 
 
 def sample_gaussian_copula(rho: float, n: int, rng: np.random.Generator) -> Sample:
     """Draw n pairs with uniform marginals and Gaussian-copula dependence."""
-    if not -1.0 < rho < 1.0:
-        raise InvalidParam(f"rho must be in (-1, 1), got {rho}")
-    from scipy.special import ndtr  # imported here, as scipy is most of `import copstat`
-
-    z1 = rng.standard_normal(n)
-    z2 = rng.standard_normal(n)
-    u = ndtr(z1)
-    v = ndtr(rho * z1 + math.sqrt(1.0 - rho * rho) * z2)
-    return Sample(np.column_stack([u, v]))
-
-
-def _positive_stable(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Chambers-Mallows-Stuck draw of a positive stable variable with
-    Laplace transform exp(-t^alpha), alpha in (0, 1)."""
-    theta = rng.uniform(0.0, np.pi, n)
-    w = rng.exponential(1.0, n)
-    a = np.sin(alpha * theta) / np.sin(theta) ** (1.0 / alpha)
-    b = (np.sin((1.0 - alpha) * theta) / w) ** ((1.0 - alpha) / alpha)
-    return a * b
+    return _sample(_gaussian_copula(rho, n), rng)
 
 
 def sample_gumbel_copula(theta: float, n: int, rng: np.random.Generator) -> Sample:
@@ -247,15 +343,7 @@ def sample_gumbel_copula(theta: float, n: int, rng: np.random.Generator) -> Samp
     A positive stable mixing variable S of index 1/theta is shared by both
     coordinates: u_i = exp(-(E_i / S)^(1/theta)) with E_i ~ Exp(1).
     """
-    if theta < 1.0:
-        raise InvalidParam(f"gumbel theta must be >= 1, got {theta}")
-    if theta == 1.0:
-        return Sample(rng.random((n, 2)))
-    alpha = 1.0 / theta
-    s = _positive_stable(alpha, n, rng)
-    e = rng.exponential(1.0, (n, 2))
-    u = np.exp(-((e / s[:, None]) ** alpha))
-    return Sample(u)
+    return _sample(_gumbel_copula(theta, n), rng)
 
 
 def sample_clayton_copula(theta: float, n: int, rng: np.random.Generator) -> Sample:
@@ -264,34 +352,13 @@ def sample_clayton_copula(theta: float, n: int, rng: np.random.Generator) -> Sam
     Valid for theta in [-1, inf), theta != 0; negative theta gives negative
     dependence, theta = -1 the countermonotonic limit.
     """
-    if theta < -1.0 or theta == 0.0:
-        raise InvalidParam(f"clayton theta must be in [-1, inf) and nonzero, got {theta}")
-    u = rng.random(n)
-    t = rng.random(n)
-    if theta == -1.0:
-        v = 1.0 - u
-    else:
-        v = ((t ** (-theta / (1.0 + theta)) - 1.0) * u ** (-theta) + 1.0) ** (-1.0 / theta)
-    return Sample(np.column_stack([u, v]))
-
-
-#: The copula-family registry: the type-II error study's families and the
-#: bias tables' copula sources.
-_COPULA_SAMPLERS = {
-    "gauss": sample_gaussian_copula,
-    "gumbel": sample_gumbel_copula,
-    "clayton": sample_clayton_copula,
-}
+    return _sample(_clayton_copula(theta, n), rng)
 
 
 def sample_copula(family: str, param: float, n: int, rng: np.random.Generator) -> Sample:
     """Draw from a named copula family; param 0 for gauss and 1 for gumbel
     are the independence members."""
-    try:
-        sampler = _COPULA_SAMPLERS[family]
-    except KeyError:
-        raise InvalidParam(f"unknown copula family {family!r}") from None
-    return sampler(param, n, rng)
+    return _sample(_copula(family, param, n), rng)
 
 
 @dataclass(frozen=True)
@@ -344,6 +411,36 @@ class DependencySpec:
         return self.x_range if self.x_range is not None else _DEPENDENCIES[self.kind][0]
 
 
+def _dependency(spec: DependencySpec, n: int, independent: bool = False) -> _Sampler:
+    """The sampler of `gen_dependency`.  The raw draw is n values of X (an
+    angle for circular), then n of the independent regressor draw when
+    `independent`, then n standard normal eps; the transform shapes and
+    noises the response."""
+    if n < 2:
+        raise InvalidParam("need n >= 2")
+    circular = spec.kind == "circular"
+    lo, hi = (0.0, 2.0 * np.pi) if circular else spec.effective_x_range
+    rows = 3 if independent else 2
+
+    def draw(rng):
+        raw = np.empty((rows, n))
+        raw[0] = rng.uniform(lo, hi, n)
+        if independent:
+            raw[1] = rng.uniform(lo, hi, n)
+        rng.standard_normal(out=raw[-1])
+        return raw
+
+    def transform(raw):
+        x, src = raw[:, 0], raw[:, rows - 2]
+        if circular:
+            x, y0 = np.cos(x), np.sin(src)
+        else:
+            y0 = _DEPENDENCIES[spec.kind][1](spec, src, (src - lo) / (hi - lo))
+        return np.stack([x, _NOISE[spec.noise_mode](spec, y0, raw[:, -1])], axis=-1)
+
+    return _Sampler(draw, transform)
+
+
 def gen_dependency(
     spec: DependencySpec,
     n: int,
@@ -356,20 +453,7 @@ def gen_dependency(
     draw of the regressor, which is how null samples for power studies are
     constructed: X and Y then share the marginal structure but nothing else.
     """
-    if n < 2:
-        raise InvalidParam("need n >= 2")
-    if spec.kind == "circular":
-        theta = rng.uniform(0.0, 2.0 * np.pi, n)
-        x = np.cos(theta)
-        theta_y = rng.uniform(0.0, 2.0 * np.pi, n) if independent else theta
-        y0 = np.sin(theta_y)
-    else:
-        lo, hi = spec.effective_x_range
-        x = rng.uniform(lo, hi, n)
-        x_src = rng.uniform(lo, hi, n) if independent else x
-        y0 = _DEPENDENCIES[spec.kind][1](spec, x_src, (x_src - lo) / (hi - lo))
-    y = _NOISE[spec.noise_mode](spec, y0, rng.standard_normal(n))
-    return Sample(np.column_stack([x, y]))
+    return _sample(_dependency(spec, n, independent), rng)
 
 
 @dataclass(frozen=True)

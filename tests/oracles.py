@@ -25,7 +25,6 @@ from copstat import (
     gen_dependency,
     test_independence,
 )
-from copstat.experiments import _source_sampler
 from copstat.independence import sample_copula
 from copstat.synth import TEST_FUNCTIONS
 
@@ -261,6 +260,49 @@ def naive_gen_dependency(spec, n, rng, independent=False):
     return np.column_stack([x, y])
 
 
+def naive_sample_copula(family, param, n, rng):
+    """sample_copula's (n, 2) sample, drawn and transformed step by step:
+    Gaussian by two normal draws through the normal CDF, Gumbel by the
+    Chambers-Mallows-Stuck stable frailty, Clayton by conditional
+    inversion; Gumbel theta = 1 draws uniform pairs."""
+    from scipy.special import ndtr
+
+    if family == "gauss":
+        z1 = rng.standard_normal(n)
+        z2 = rng.standard_normal(n)
+        return np.column_stack([ndtr(z1), ndtr(param * z1 + math.sqrt(1.0 - param**2) * z2)])
+    if family == "gumbel":
+        if param == 1.0:
+            return rng.random((n, 2))
+        alpha = 1.0 / param
+        angle = rng.uniform(0.0, np.pi, n)
+        w = rng.exponential(1.0, n)
+        stable = (np.sin(alpha * angle) / np.sin(angle) ** (1.0 / alpha)
+                  * (np.sin((1.0 - alpha) * angle) / w) ** ((1.0 - alpha) / alpha))
+        e = rng.exponential(1.0, (n, 2))
+        return np.exp(-((e / stable[:, None]) ** alpha))
+    assert family == "clayton"
+    u = rng.random(n)
+    t = rng.random(n)
+    if param == -1.0:
+        return np.column_stack([u, 1.0 - u])
+    v = ((t ** (-param / (1.0 + param)) - 1.0) * u ** (-param) + 1.0) ** (-1.0 / param)
+    return np.column_stack([u, v])
+
+
+def bias_source_sample(source, n, rng):
+    """One (n, 2) sample of a bias-table source: uniform pairs for 'indep'
+    and the independence members, else the copula or noise-free sinusoid."""
+    name, _, arg = source.partition(":")
+    param = float(arg) if arg else 0.0
+    if name == "indep" or (name in ("gauss", "clayton") and param == 0.0) or (
+            name == "gumbel" and param == 1.0):
+        return rng.random((n, 2))
+    if name == "sin":
+        return gen_dependency(DependencySpec(kind="sinusoidal", freq=param), n, rng).data
+    return sample_copula(name, param, n, rng).data
+
+
 def loop_null_moments(n, trials, seed):
     vals = np.array([copula_statistic(derive_rng(seed, "null", n, t).random((n, 2))).cos
                      for t in range(trials)])
@@ -280,10 +322,12 @@ def loop_bias_table(sources, n_grid, trials, seed):
     """(source, n, mu, sigma) per generator and sample size."""
     rows = []
     for source in sources:
-        sampler = _source_sampler(source)
         for n in n_grid:
-            vals = np.array([copula_statistic(sampler(n, derive_rng(seed, "bias", source, n, t))).cos
-                             for t in range(trials)])
+            vals = np.array([
+                copula_statistic(bias_source_sample(source, n,
+                                                    derive_rng(seed, "bias", source, n, t))).cos
+                for t in range(trials)
+            ])
             rows.append((source, n, float(vals.mean()), float(vals.std(ddof=1))))
     return rows
 

@@ -617,6 +617,14 @@ class TestBias:
         rows = run_bias_table(["indep", "sin:2"], [60, 80], 500, 4)
         assert json.loads(capsys.readouterr().out) == [asdict(r) for r in rows]
 
+    @pytest.mark.parametrize("source, message", [
+        ("gumbel:inf", "gumbel theta must be in [1, inf), got inf"),
+        ("gauss:abc", "bias source 'gauss:abc' needs a number after ':'"),
+    ])
+    def test_bad_source_parameters_exit_2(self, source, message, capsys):
+        assert main(["bias", "--sources", source, "--grid", "60"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_csv_layout(self, capsys):
         assert main(["bias", "--sources", "sin:1", "--grid", "60",
                      "--trials", "500", "--format", "csv"]) == 0

@@ -13,12 +13,15 @@ from copstat import (
     InvalidParam,
     dependence_matrix,
     derive_rng,
+    null_moments,
     run_bias_table,
     run_equitability,
     run_power,
     score_matrix,
     score_network,
+    type2_error,
 )
+from copstat import synth
 
 from oracles import (
     loop_bias_table,
@@ -141,6 +144,34 @@ class TestRunBiasTable:
         assert [(r.source, r.n) for r in rows] == [
             ("indep", 60), ("indep", 80), ("sin:1", 60), ("sin:1", 80),
         ]
+
+
+#: Each Monte Carlo pipeline as a function of nothing, giving its floats.
+PIPELINES = {
+    "null_moments": lambda: null_moments(60, 140, 21),
+    "type2_gauss": lambda: [type2_error("gauss", 0.3, 70, 140, seed=22)],
+    "type2_gumbel": lambda: [type2_error("gumbel", 1.26, 70, 140, seed=22)],
+    "type2_clayton": lambda: [type2_error("clayton", -0.88, 70, 140, seed=22)],
+    "bias_table": lambda: [v for r in run_bias_table(["indep", "gumbel:2", "clayton:0.51",
+                                                      "gauss:0.3", "sin:3"], [40], 500, 23)
+                           for v in (r.mu, r.sigma)],
+    "power_cos": lambda: run_power("circular", "cos", 100, 100, 0.05, (0.5, 2.0), 24).power,
+    "power_pearson": lambda: run_power("linear", "pearson", 100, 100, 0.05, (0.5, 2.0), 24).power,
+    "equitability": lambda: [v for means in run_equitability([1, 6], [0.3, 1.0], n=60, reps=40,
+                                                             seed=25).mean_cos.values()
+                             for v in means],
+}
+
+
+class TestBlockSize:
+    @pytest.mark.parametrize("pipeline", PIPELINES)
+    def test_never_changes_a_result(self, monkeypatch, pipeline):
+        # one trial per block, the default budget and four times it
+        results = []
+        for cells in (1, synth._BLOCK_CELLS, 4 * synth._BLOCK_CELLS):
+            monkeypatch.setattr(synth, "_BLOCK_CELLS", cells)
+            results.append(np.array(PIPELINES[pipeline](), dtype=float).tobytes())
+        assert results[0] == results[1] == results[2]
 
 
 class TestScoreMatrix:

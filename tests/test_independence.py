@@ -1,5 +1,7 @@
 """Calibration curves and the standardized independence test."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import skew
@@ -153,6 +155,15 @@ class TestType2Error:
     def test_needs_a_trial(self):
         with pytest.raises(InvalidParam):
             type2_error("gauss", 0.3, 100, trials=0)
+
+    @pytest.mark.parametrize("param", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("family", ["gauss", "gumbel", "clayton"])
+    def test_non_finite_parameters_are_refused_before_any_draw(self, family, param):
+        # no generator: the check must come before the first draw
+        with pytest.raises(InvalidParam, match=family):
+            sample_copula(family, param, 10, None)
+        with pytest.raises(InvalidParam, match=family):
+            type2_error(family, param, 100, trials=10)
 
     @pytest.mark.parametrize("alpha", [0.01, 0.3])
     def test_matches_trial_loop(self, alpha):

@@ -23,9 +23,20 @@ from copstat import (
     spearman,
 )
 from copstat import synth
-from copstat.synth import DEPENDENCY_KINDS, NOISE_MODES, mc_values
+from copstat.synth import DEPENDENCY_KINDS, NOISE_MODES, mc_values, sample_copula
 
-from oracles import gaussian_copula_at_half, naive_gen_dependency, seed_sequence_rng
+from oracles import (
+    gaussian_copula_at_half,
+    naive_gen_dependency,
+    naive_sample_copula,
+    seed_sequence_rng,
+)
+
+#: (family, param) covering each family's special members and both signs
+#: of Clayton's dependence.
+COPULA_CASES = [("gauss", 0.0), ("gauss", 0.3), ("gauss", -0.9), ("gumbel", 1.0),
+                ("gumbel", 1.26), ("gumbel", 5.0), ("clayton", -1.0), ("clayton", -0.88),
+                ("clayton", 0.51)]
 
 
 class TestDeriveRng:
@@ -122,6 +133,14 @@ class TestMcValues:
         assert seen == sizes
         assert vals.tolist() == [derive_rng(3, "b", t).random((2, 2))[1, 0] for t in range(9)]
 
+    def test_blocks_count_the_cells_of_the_scored_samples(self, monkeypatch):
+        # a 4-cell raw draw whose scored sample has 2 cells: 4 per block of 8
+        monkeypatch.setattr(synth, "_BLOCK_CELLS", 8)
+        seen = []
+        mc_values(3, ("b",), 9, lambda rng: rng.random((2, 2)),
+                  lambda block: seen.append(len(block)) or block[:, 0, 0], cells=2)
+        assert seen == [4, 4, 1]
+
     @pytest.mark.parametrize("seed, labels", [
         (0, ()), (0, (0,)), (5, (2**32 - 1,)), (5, (2**32, "x")), (5, (2**64 - 1, 0)),
         (2**32, ("y", 2**40 + 3)),
@@ -152,6 +171,27 @@ class TestMcValues:
     def test_needs_a_trial(self, trials):
         with pytest.raises(InvalidParam):
             mc_values(0, (), trials, lambda rng: rng.random((2, 2)), lambda b: b[:, 0, 0])
+
+
+class TestSampleCopula:
+    @pytest.mark.parametrize("n", [2, 7, 200])
+    @pytest.mark.parametrize("family, param", COPULA_CASES)
+    def test_matches_the_per_family_formula(self, family, param, n):
+        got = sample_copula(family, param, n, derive_rng(2, family, n)).data
+        want = naive_sample_copula(family, param, n, derive_rng(2, family, n))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [7, 200])
+    @pytest.mark.parametrize("trials", [1, 5, 64])
+    @pytest.mark.parametrize("family, param", COPULA_CASES)
+    def test_a_block_transforms_as_its_draws_one_by_one(self, family, param, trials, n):
+        sampler = synth._copula(family, param, n)
+        raw = np.stack([sampler.draw(derive_rng(4, t)) for t in range(trials)])
+        got = sampler.transform(raw)
+        assert got.shape == (trials, n, 2)
+        for t in range(trials):
+            want = sample_copula(family, param, n, derive_rng(4, t)).data
+            assert got[t].tobytes() == want.tobytes()
 
 
 class TestGaussianCopula:
@@ -332,6 +372,23 @@ class TestGenDependency:
                     got = gen_dependency(spec, 60, derive_rng(1, kind), independent)
                     want = naive_gen_dependency(spec, 60, derive_rng(1, kind), independent)
                     assert np.array_equal(got.data, want), (x_range, fn_id, independent)
+
+    @pytest.mark.parametrize("n", [37, 200])
+    @pytest.mark.parametrize("trials", [1, 5, 64])
+    @pytest.mark.parametrize("independent", [False, True])
+    @pytest.mark.parametrize("mode", NOISE_MODES)
+    @pytest.mark.parametrize("kind", DEPENDENCY_KINDS)
+    def test_a_block_transforms_as_its_draws_one_by_one(self, kind, mode, independent, trials, n):
+        for fn_id in ((1, 6, 9) if kind == "testfn" else (1,)):
+            spec = DependencySpec(kind=kind, p=0.3, noise_mode=mode, freq=3.0, fn_id=fn_id,
+                                  r2=0.6 if mode == "r2_additive" else None)
+            sampler = synth._dependency(spec, n, independent)
+            got = sampler.transform(np.stack([sampler.draw(derive_rng(5, t))
+                                              for t in range(trials)]))
+            assert got.shape == (trials, n, 2)
+            for t in range(trials):
+                want = gen_dependency(spec, n, derive_rng(5, t), independent).data
+                assert got[t].tobytes() == want.tobytes(), (fn_id, t)
 
     def test_needs_two_points(self):
         with pytest.raises(InvalidParam, match="n >= 2"):
