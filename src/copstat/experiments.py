@@ -86,13 +86,10 @@ def run_power(
     powers = []
     for p in p_grid:
         spec = _as_spec(dependency, p)
-        null = _dependency(spec, n, independent=True)
-        null_vals = mc_values(seed, ("power", dep_name, "h0"), trials, null.draw,
-                              lambda raw: score(null.transform(raw)), cells=2 * n)
+        null_vals = mc_values(seed, ("power", dep_name, "h0"), trials,
+                              _dependency(spec, n, independent=True), score)
         cutoff = float(np.quantile(null_vals, 1.0 - alpha))
-        alt = _dependency(spec, n)
-        vals = mc_values(seed, ("power", dep_name, "h1"), trials, alt.draw,
-                         lambda raw: score(alt.transform(raw)), cells=2 * n)
+        vals = mc_values(seed, ("power", dep_name, "h1"), trials, _dependency(spec, n), score)
         powers.append(int(np.count_nonzero(vals > cutoff)) / trials)
 
     return PowerCurve(
@@ -164,9 +161,7 @@ def run_equitability(
         means = []
         for ri, r2 in enumerate(r2_grid):
             spec = DependencySpec(kind="testfn", fn_id=fid, noise_mode="r2_additive", r2=r2)
-            sampler = _dependency(spec, n)
-            vals = mc_values(seed, ("equit", fid, ri), reps, sampler.draw,
-                             lambda raw: _cos_batch(sampler.transform(raw)), cells=2 * n)
+            vals = mc_values(seed, ("equit", fid, ri), reps, _dependency(spec, n), _cos_batch)
             means.append(float(vals.mean()))
         curves[fid] = tuple(means)
 
@@ -231,9 +226,7 @@ def run_bias_table(sources, n_grid, trials: int = 500, seed: int = 0) -> list[Bi
     for source in sources:
         sampler_at = _source_sampler(source)
         for n in n_grid:
-            sampler = sampler_at(int(n))
-            vals = mc_values(seed, ("bias", source, n), trials, sampler.draw,
-                             lambda raw: _cos_batch(sampler.transform(raw)), cells=2 * int(n))
+            vals = mc_values(seed, ("bias", source, n), trials, sampler_at(int(n)), _cos_batch)
             rows.append(BiasRow(source=source, n=int(n), mu=float(vals.mean()),
                                 sigma=float(vals.std(ddof=1))))
     return rows

@@ -19,7 +19,7 @@ from .errors import InvalidGrid, InvalidInput, InvalidParam
 from .statistic import _cos_batch, copula_statistic
 # derive_rng and sample_copula stay importable from this module because
 # perfbench's tracer swaps them here
-from .synth import _copula, derive_rng, mc_values, sample_copula  # noqa: F401
+from .synth import _copula, _uniform_pairs, derive_rng, mc_values, sample_copula  # noqa: F401
 
 H0 = "independent"
 H1 = "dependent"
@@ -166,7 +166,7 @@ def null_moments(n: int, trials: int, seed: int) -> tuple[float, float]:
     Needs at least 2 trials for the standard deviation."""
     if trials < 2:
         raise InvalidParam(f"null moments need at least 2 trials, got {trials}")
-    vals = mc_values(seed, ("null", n), trials, lambda rng: rng.random((n, 2)), _cos_batch)
+    vals = mc_values(seed, ("null", n), trials, _uniform_pairs(n), _cos_batch)
     return float(vals.mean()), float(vals.std(ddof=1))
 
 
@@ -250,8 +250,7 @@ def type2_error(
     transformed to samples and scored at once, and the z-test of
     `test_independence` is applied to all their values at once."""
     _check_alpha(alpha)
-    sampler = _copula(copula_family, param, n)
-    cos = mc_values(seed, ("type2", copula_family, n), trials, sampler.draw,
-                    lambda raw: _cos_batch(sampler.transform(raw)), cells=2 * n)
+    cos = mc_values(seed, ("type2", copula_family, n), trials,
+                    _copula(copula_family, param, n), _cos_batch)
     _, _, dependent = _z_test(cos, n, curve, alpha)
     return int(np.count_nonzero(~dependent)) / trials

@@ -200,16 +200,27 @@ def _score_blocks(arrays, score, cells=None) -> np.ndarray:
     return np.concatenate(values, dtype=float)
 
 
-def mc_values(seed: int, labels, trials: int, draw, score, cells=None) -> np.ndarray:
+class _Sampler(NamedTuple):
+    """A sampler of n pairs in two steps.  `draw(rng)` gives one sample's
+    raw variates, in stream order, as one array; `transform` maps a
+    (T, ...) stack of raw draws to the (T, n, 2) samples in one elementwise
+    pass, so the t-th sample depends only on the t-th draw and equals the
+    transform of that draw alone, bit for bit."""
+
+    n: int
+    draw: Callable[[np.random.Generator], np.ndarray]
+    transform: Callable[[np.ndarray], np.ndarray]
+
+
+def mc_values(seed: int, labels, trials: int, sampler: _Sampler, score) -> np.ndarray:
     """Values of `trials` Monte Carlo trials, shape (trials,).
 
-    Trial t calls `draw(rng)` on the stream derive_rng(seed, *labels, t)
-    for one array: a sample's raw variates, or the sample itself.  `score`
-    maps each (T, ...) stack of draws to their T values, each depending on
-    its own draw alone; for raw variates it is a `_Sampler`'s `transform`
-    followed by a scorer of samples.  A block holds at most _BLOCK_CELLS
-    cells of scored samples, counting `cells` (n x d) per trial, or the
-    draw's size when `cells` is None.
+    Trial t calls `sampler.draw(rng)` on the stream derive_rng(seed,
+    *labels, t) for its sample's raw variates.  The draws are stacked in
+    blocks of at most _BLOCK_CELLS cells of samples (2n per trial, however
+    many raw variates a draw holds), `sampler.transform` maps each block to
+    its (T, n, 2) samples, and `score` maps those to their T values, each
+    depending on its own sample alone.
 
     One `_stream_key` pass keys every trial's stream.  `rng` is one
     generator, set back to the start of each trial's stream before its
@@ -229,20 +240,9 @@ def mc_values(seed: int, labels, trials: int, draw, score, cells=None) -> np.nda
                             "state": {"counter": [0, 0, 0, 0], "key": key},
                             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
                             "has_uint32": 0, "uinteger": 0}
-            yield draw(rng)
+            yield sampler.draw(rng)
 
-    return _score_blocks(draws(), score, cells)
-
-
-class _Sampler(NamedTuple):
-    """A bivariate sampler in two steps.  `draw(rng)` gives one sample's
-    raw variates, in stream order, as one array; `transform` maps a
-    (T, ...) stack of raw draws to the (T, n, 2) samples in one elementwise
-    pass, so the t-th sample depends only on the t-th draw and equals the
-    transform of that draw alone, bit for bit."""
-
-    draw: Callable[[np.random.Generator], np.ndarray]
-    transform: Callable[[np.ndarray], np.ndarray]
+    return _score_blocks(draws(), lambda raw: score(sampler.transform(raw)), 2 * sampler.n)
 
 
 def _sample(sampler: _Sampler, rng: np.random.Generator) -> Sample:
@@ -252,7 +252,7 @@ def _sample(sampler: _Sampler, rng: np.random.Generator) -> Sample:
 
 def _uniform_pairs(n: int) -> _Sampler:
     """n independent uniform pairs, drawn as the sample itself."""
-    return _Sampler(lambda rng: rng.random((n, 2)), lambda raw: raw)
+    return _Sampler(n, lambda rng: rng.random((n, 2)), lambda raw: raw)
 
 
 def _gaussian_copula(rho: float, n: int) -> _Sampler:
@@ -263,7 +263,7 @@ def _gaussian_copula(rho: float, n: int) -> _Sampler:
     from scipy.special import ndtr  # imported here, as scipy is most of `import copstat`
 
     c = math.sqrt(1.0 - rho * rho)
-    return _Sampler(lambda rng: rng.standard_normal((2, n)),
+    return _Sampler(n, lambda rng: rng.standard_normal((2, n)),
                     lambda z: np.stack([ndtr(z[:, 0]), ndtr(rho * z[:, 0] + c * z[:, 1])], axis=-1))
 
 
@@ -293,7 +293,7 @@ def _gumbel_copula(theta: float, n: int) -> _Sampler:
         e = raw[:, 2:].reshape(len(raw), n, 2)
         return np.exp(-((e / s[..., None]) ** alpha))
 
-    return _Sampler(draw, transform)
+    return _Sampler(n, draw, transform)
 
 
 def _clayton_copula(theta: float, n: int) -> _Sampler:
@@ -311,7 +311,7 @@ def _clayton_copula(theta: float, n: int) -> _Sampler:
             v = ((t ** (-theta / (1.0 + theta)) - 1.0) * u ** (-theta) + 1.0) ** (-1.0 / theta)
         return np.stack([u, v], axis=-1)
 
-    return _Sampler(lambda rng: rng.random((2, n)), transform)
+    return _Sampler(n, lambda rng: rng.random((2, n)), transform)
 
 
 #: The copula-family registry: the type-II error study's families and the
@@ -438,7 +438,7 @@ def _dependency(spec: DependencySpec, n: int, independent: bool = False) -> _Sam
             y0 = _DEPENDENCIES[spec.kind][1](spec, src, (src - lo) / (hi - lo))
         return np.stack([x, _NOISE[spec.noise_mode](spec, y0, raw[:, -1])], axis=-1)
 
-    return _Sampler(draw, transform)
+    return _Sampler(n, draw, transform)
 
 
 def gen_dependency(

@@ -111,10 +111,16 @@ class TestStreamKey:
             assert key == synth._stream_key(row).tolist()
 
 
+def _as_drawn(draw):
+    """A sampler of 2 pairs whose samples are its raw draws."""
+    return synth._Sampler(2, draw, lambda raw: raw)
+
+
 class TestMcValues:
     def test_trial_streams_are_derive_rng(self):
         labels = ("x", 3, "y")
-        vals = mc_values(7, labels, 9, lambda rng: rng.random((2, 2)), lambda b: b[:, 0, 0])
+        vals = mc_values(7, labels, 9, _as_drawn(lambda rng: rng.random((2, 2))),
+                         lambda b: b[:, 0, 0])
         want = [derive_rng(7, *labels, t).random((2, 2))[0, 0] for t in range(9)]
         assert vals.tolist() == want
 
@@ -129,17 +135,23 @@ class TestMcValues:
             seen.append(block.shape[0])
             return block[:, 1, 0]
 
-        vals = mc_values(3, ("b",), 9, lambda rng: rng.random((2, 2)), score)
+        vals = mc_values(3, ("b",), 9, _as_drawn(lambda rng: rng.random((2, 2))), score)
         assert seen == sizes
         assert vals.tolist() == [derive_rng(3, "b", t).random((2, 2))[1, 0] for t in range(9)]
 
-    def test_blocks_count_the_cells_of_the_scored_samples(self, monkeypatch):
-        # a 4-cell raw draw whose scored sample has 2 cells: 4 per block of 8
-        monkeypatch.setattr(synth, "_BLOCK_CELLS", 8)
-        seen = []
-        mc_values(3, ("b",), 9, lambda rng: rng.random((2, 2)),
-                  lambda block: seen.append(len(block)) or block[:, 0, 0], cells=2)
-        assert seen == [4, 4, 1]
+    @pytest.mark.parametrize("family, param", [("gumbel", 2.5), ("clayton", -1.0)])
+    def test_score_sees_each_trial_as_the_public_sampler_draws_it(self, monkeypatch,
+                                                                  family, param):
+        # blocks of 3 samples of 5 pairs, however many raw variates a draw
+        # holds (Gumbel's 4n), each block transformed before scoring
+        monkeypatch.setattr(synth, "_BLOCK_CELLS", 3 * 2 * 5)
+        blocks = []
+        mc_values(3, ("c",), 7, synth._copula(family, param, 5),
+                  lambda b: blocks.append(b.copy()) or b[:, 0, 0])
+        assert [len(b) for b in blocks] == [3, 3, 1]
+        for t, got in enumerate(np.concatenate(blocks)):
+            want = sample_copula(family, param, 5, derive_rng(3, "c", t)).data
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("seed, labels", [
         (0, ()), (0, (0,)), (5, (2**32 - 1,)), (5, (2**32, "x")), (5, (2**64 - 1, 0)),
@@ -148,7 +160,8 @@ class TestMcValues:
     def test_streams_at_uint32_word_boundaries(self, seed, labels):
         # mc_values hands SeedSequence the path as uint32 words; integers of
         # 2**32 and more take several words
-        vals = mc_values(seed, labels, 3, lambda rng: rng.random((2, 2)), lambda b: b[:, 1, 1])
+        vals = mc_values(seed, labels, 3, _as_drawn(lambda rng: rng.random((2, 2))),
+                         lambda b: b[:, 1, 1])
         assert vals.tolist() == [derive_rng(seed, *labels, t).random((2, 2))[1, 1]
                                  for t in range(3)]
 
@@ -162,7 +175,8 @@ class TestMcValues:
             return np.concatenate(values)[:, None]
 
         blocks = []
-        mc_values(seed, labels, 7, draw, lambda b: blocks.append(b.copy()) or b[:, 0, 0])
+        mc_values(seed, labels, 7, _as_drawn(draw),
+                  lambda b: blocks.append(b.copy()) or b[:, 0, 0])
         got = np.concatenate(blocks)
         for t in range(7):
             assert np.array_equal(got[t], draw(seed_sequence_rng(seed, *labels, t)))
@@ -170,7 +184,8 @@ class TestMcValues:
     @pytest.mark.parametrize("trials", [0, -1])
     def test_needs_a_trial(self, trials):
         with pytest.raises(InvalidParam):
-            mc_values(0, (), trials, lambda rng: rng.random((2, 2)), lambda b: b[:, 0, 0])
+            mc_values(0, (), trials, _as_drawn(lambda rng: rng.random((2, 2))),
+                      lambda b: b[:, 0, 0])
 
 
 class TestSampleCopula:
