@@ -146,54 +146,47 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return (np.arange(a.size // a.shape[-1]) * a.shape[-1]).reshape(*a.shape[:-1], 1)
 
 
-def _positions(order: np.ndarray) -> np.ndarray:
-    """Sorted position of each point, from sorting orders along the last axis."""
-    n = order.shape[-1]
-    pos = np.empty(order.size, dtype=order.dtype)
-    pos[(order + _rows(order)).ravel()] = np.tile(np.arange(n), order.size // n)
-    return pos.reshape(order.shape)
+def _ranked(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stable sorting order of each column of each (T, n, d) sample, each
+    point's position in it and the sorted values, all shaped (T, d, n).
 
-
-def _ranked(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable sorting order of each column of each (T, n, d) sample, and
-    each point's position in it, both shaped (T, d, n).
-
-    (pos + 1) / n are the pseudo-observations: ordinal ranks / n, ties
-    resolved by first occurrence, with no two points of a column sharing a
-    value.  Raises DegenerateMarginal if a column is constant, that is if
-    the ends of its sorted order hold equal values.
+    (pos + 1) / n are ordinal ranks / n: ties broken by first occurrence.
+    Constant columns are allowed; `_require_varying` refuses them.
 
     Columns are sorted by the default (unstable) sort.  A column without
     ties has one sorting order, the stable one; only the columns where
     adjacent sorted values are equal are sorted again, stably.
     """
-    T = x.shape[0]
     columns = np.ascontiguousarray(x.transpose(0, 2, 1))
     order = np.argsort(columns, axis=2)
-    ranked = columns.ravel().take(order + _rows(order))
-    constant = np.argwhere(ranked[..., 0] == ranked[..., -1])
-    if constant.size:
-        t, k = constant[0]
-        where = f" of sample {t}" if T > 1 else ""
-        raise DegenerateMarginal(f"column {k}{where} is constant")
+    rows = _rows(order)
+    ranked = columns.ravel().take(order + rows)
     tied = (ranked[..., 1:] == ranked[..., :-1]).any(axis=2)
     if tied.any():
         order[tied] = np.argsort(columns[tied], axis=1, kind="stable")
-    return order, _positions(order)
+    pos = np.empty(order.size, dtype=order.dtype)
+    pos[(order + rows).ravel()] = np.tile(np.arange(order.shape[2]), order.size // order.shape[2])
+    return order, pos.reshape(order.shape), ranked
 
 
-def _tie_bounds(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(order, left, right) of each column of an (n, d) array of values
-    that may hold ties, each shaped (d, n): the stable sorting order, and
-    each point's `searchsorted` bounds in its sorted column, so `left`
-    points lie below it and `right` at or below it."""
-    order = np.argsort(u, axis=0, kind="stable").T
-    left, right = np.empty_like(order), np.empty_like(order)
-    for k, column in enumerate(u.T):
-        ranked = column[order[k]]
-        left[k] = ranked.searchsorted(column, "left")
-        right[k] = ranked.searchsorted(column, "right")
-    return order, left, right
+def _require_varying(ranked: np.ndarray) -> None:
+    """Raise DegenerateMarginal if a column of `_ranked`'s sorted values is constant."""
+    constant = np.argwhere(ranked[..., 0] == ranked[..., -1])
+    if constant.size:
+        t, k = constant[0]
+        where = f" of sample {t}" if ranked.shape[0] > 1 else ""
+        raise DegenerateMarginal(f"column {k}{where} is constant")
+
+
+def _last_tied(ranked: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Sorted position of the last point sharing each point's value, shaped
+    like `_ranked`'s `pos`, from its sorted values `ranked`: the first
+    position at or after the point's own whose next value differs."""
+    n = ranked.shape[-1]
+    ends = np.full(ranked.shape, n - 1)
+    ends[..., :-1] = np.where(ranked[..., 1:] != ranked[..., :-1], np.arange(n - 1), n - 1)
+    last = np.minimum.accumulate(ends[..., ::-1], axis=-1)[..., ::-1]
+    return last.ravel().take(pos + _rows(pos))
 
 
 def pseudo_observations(sample) -> PseudoSample:
@@ -202,7 +195,8 @@ def pseudo_observations(sample) -> PseudoSample:
     Raises DegenerateMarginal if a column is constant and InvalidInput on
     NaN/Inf or fewer than 2 rows.
     """
-    _, pos = _ranked(as_sample(sample).data[None])
+    _, pos, ranked = _ranked(as_sample(sample).data[None])
+    _require_varying(ranked)
     return PseudoSample(u=(pos[0].T + 1) / pos.shape[2])
 
 
@@ -247,8 +241,9 @@ class EmpiricalCopula:
 
         Raises DimensionMismatch unless `pts` has shape (m, d), and
         InvalidInput on coordinates that are not finite or lie outside
-        [0, 1].  At the sample's own points, dominance_counts(points) / n
-        gives the same values in O(d n^2 / 64) word operations.
+        [0, 1].  At the sample's own points, `copula_trace(points).values`
+        gives the same values, in trace order, in O(d n^2 / 64) word
+        operations.
         """
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.d:
@@ -265,31 +260,6 @@ class EmpiricalCopula:
             hit = np.all(u[None, :, :] <= pts[lo:hi, None, :], axis=2)
             out[lo:hi] = hit.sum(axis=1, dtype=np.int64)
         return out / self.n
-
-
-def dominance_counts(ps: PseudoSample) -> np.ndarray:
-    """n * C_n at every sample point: #{i : u_i <= u_j in every coordinate}.
-
-    Returns int64 counts in row order, in O(d n^2 / 64) word operations;
-    see `_dominance_counts`.
-    """
-    by, counts = _tied_trace_counts(ps.u, 0)
-    out = np.empty_like(counts)
-    out[by] = counts
-    return out
-
-
-def _tied_trace_counts(u: np.ndarray, sort_axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """(by, counts) of an (n, d) array of values that may hold ties: the
-    trace order, its points stably sorted on column `sort_axis`, and each
-    trace point's dominance count."""
-    order, _, right = _tie_bounds(u)
-    by = order[sort_axis]
-    rank = _trace_ranks(order[None], _positions(order)[None], sort_axis)
-    row = _trace_ranks(order[None], right[None] - 1, sort_axis)
-    # the last trace point sharing each point's sort-axis value
-    cut = right[sort_axis, by] - 1
-    return by, _dominance_counts(rank, row, cut)[0]
 
 
 def _trace_ranks(order: np.ndarray, pos: np.ndarray, sort_axis: int) -> np.ndarray:
@@ -374,18 +344,27 @@ def _dominance_counts(rank: np.ndarray, row: np.ndarray, cut: np.ndarray) -> np.
     return counts
 
 
-def _trace_counts(rank: np.ndarray) -> np.ndarray:
-    """Dominance counts (T, n) of each sample of a stack, in trace order,
-    from `_trace_ranks` of ordinal ranks (distinct values in each column).
+def _trace_counts(order: np.ndarray, pos: np.ndarray, last: np.ndarray,
+                  sort_axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """(`_trace_ranks` of `pos`, dominance counts (T, n) in trace order) of
+    each sample of a stack, from `_ranked`'s `order` and `pos`.
 
-    Two columns of at least _MERGE_MIN_N points take `_merge_counts`; all
-    other stacks take the bitset kernel, `_dominance_counts`.
+    `last` is the tie rule: the sorted position of the last point counted
+    as sharing each point's value.  `pos` breaks ties by first occurrence
+    and lets two columns of at least _MERGE_MIN_N points take
+    `_merge_counts`; `_last_tied` counts equal values as below each other.
+    Other stacks take `_dominance_counts`, whose tied samples must share
+    the sort-axis column's ties (a stack of one does).
     """
+    rank = _trace_ranks(order, pos, sort_axis)
+    if last is not pos:
+        cut = last[0, sort_axis].take(order[0, sort_axis])
+        return rank, _dominance_counts(rank, _trace_ranks(order, last, sort_axis), cut)
     if rank.shape[0] == 1 and rank.shape[2] >= _MERGE_MIN_N:
         # a point's count is itself plus the earlier trace points that lie
         # below it in the other column
-        return _merge_counts(rank[0])
-    return _dominance_counts(rank, rank, np.arange(rank.shape[2]))
+        return rank, _merge_counts(rank[0])
+    return rank, _dominance_counts(rank, rank, np.arange(rank.shape[2]))
 
 
 def _merge_counts(r: np.ndarray) -> np.ndarray:

@@ -40,6 +40,8 @@ class CalibrationCurve:
 
     def __post_init__(self) -> None:
         for name, (a, b) in (("mu", self.mu_model), ("sigma", self.sigma_model)):
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise InvalidInput(f"{name} model parameters must be finite, got ({a}, {b})")
             if a <= 0:
                 raise InvalidInput(f"{name} model amplitude must be positive, got {a}")
             if b >= 0:

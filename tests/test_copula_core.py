@@ -17,6 +17,7 @@ from copstat import (
     Sample,
     copula_core,
     copula_statistic,
+    copula_trace,
     empirical_copula,
     frechet_lower,
     frechet_upper,
@@ -24,7 +25,7 @@ from copstat import (
     pseudo_observations,
     relative_distance,
 )
-from copstat.copula_core import PseudoSample, dominance_counts
+from copstat.copula_core import PseudoSample
 
 from oracles import gaussian_copula_at_half, naive_copula_count, naive_ranks
 
@@ -99,9 +100,10 @@ class TestRanked:
         x[3, :, 0] = rng.integers(0, 3, size=90)
         x[3, :, 1] = np.round(x[3, :, 1], 1)
         x0 = x.copy()
-        order, pos = copula_core._ranked(x)
+        order, pos, ranked = copula_core._ranked(x)
         want = np.argsort(x.transpose(0, 2, 1), axis=2, kind="stable")
         assert np.array_equal(order, want)
+        assert np.array_equal(ranked, np.sort(x.transpose(0, 2, 1), axis=2))
         assert np.array_equal(np.take_along_axis(pos, order, axis=2),
                               np.broadcast_to(np.arange(90), order.shape))
         assert np.array_equal(x, x0)
@@ -212,6 +214,15 @@ def _naive_counts(ps):
     return [naive_copula_count(rows, p) for p in rows]
 
 
+def dominance_counts(ps, sort_axis=0):
+    """n * C_n at every sample point, in row order: `copula_trace`'s counts
+    mapped back to rows through its order."""
+    trace = copula_trace(ps, sort_axis)
+    counts = np.empty(ps.n, dtype=np.int64)
+    counts[trace.order] = np.rint(trace.values * ps.n)
+    return counts
+
+
 class TestDominanceCounts:
     @pytest.mark.parametrize("kind", ["random", "tied", "monotone"])
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
@@ -248,18 +259,30 @@ class TestDominanceCounts:
             mp.setattr(copula_core, "_PREFIX_TABLE_WORDS", words)
             assert dominance_counts(ps).tolist() == _naive_counts(ps)
 
+    @given(st.integers(2, 80).flatmap(lambda n: st.tuples(
+               st.sampled_from([2, 3]), st.sampled_from([2, 4]),
+               st.integers(0, 2**32 - 1), st.permutations(range(n)))))
+    @settings(max_examples=60, deadline=None)
+    def test_counts_move_with_their_rows(self, case):
+        d, levels, seed, perm = case
+        perm = np.array(perm)
+        rng = np.random.default_rng(seed)
+        ps = PseudoSample(rng.integers(1, levels + 1, size=(perm.size, d)) / levels)
+        shuffled = PseudoSample(ps.u[perm])
+        for axis in range(d):
+            assert np.array_equal(dominance_counts(shuffled, axis), dominance_counts(ps, axis)[perm])
+
 
 def _trace_kernel_inputs(x):
     """`_dominance_counts`' inputs for a (T, n, d) stack whose samples share
     column 0, the sort axis: stable trace order, per-column stable
     positions and last tied positions, and the shared sort-axis cut."""
-    bounds = [copula_core._tie_bounds(sample) for sample in x]
-    traces = [order[0] for order, _, _ in bounds]
-    rank = np.stack([copula_core._positions(order)[1:][:, trace]
-                     for (order, _, _), trace in zip(bounds, traces)], axis=1)
-    row = np.stack([right[1:][:, trace] - 1
-                    for (_, _, right), trace in zip(bounds, traces)], axis=1)
-    cut = bounds[0][2][0, traces[0]] - 1
+    order, pos, ranked = copula_core._ranked(x)
+    last = copula_core._last_tied(ranked, pos)
+    traces = order[:, 0]
+    rank = copula_core._trace_ranks(order, pos, 0)
+    row = copula_core._trace_ranks(order, last, 0)
+    cut = last[0, 0, traces[0]]
     return traces, rank, row, cut
 
 
@@ -293,7 +316,7 @@ def _bivariate(kind, T, n, rng):
 
 
 def _trace_counts(order, pos, sort_axis):
-    return copula_core._trace_counts(copula_core._trace_ranks(order, pos, sort_axis))
+    return copula_core._trace_counts(order, pos, pos, sort_axis)[1]
 
 
 def _kernel_trace_counts(order, pos, sort_axis):
@@ -311,7 +334,7 @@ class TestTraceCounts:
                                      (1, 5000)])
     def test_equal_the_kernel_across_the_crossover(self, T, n, kind, monkeypatch):
         monkeypatch.setattr(copula_core, "_MERGE_MIN_N", self.CROSSOVER)
-        order, pos = copula_core._ranked(_bivariate(kind, T, n, np.random.default_rng(n)))
+        order, pos, _ = copula_core._ranked(_bivariate(kind, T, n, np.random.default_rng(n)))
         merges = []
         merge_counts = copula_core._merge_counts
         monkeypatch.setattr(copula_core, "_merge_counts",
@@ -325,7 +348,7 @@ class TestTraceCounts:
     def test_kernel_serves_more_than_two_columns(self, monkeypatch):
         monkeypatch.setattr(copula_core, "_MERGE_MIN_N", 2)
         monkeypatch.setattr(copula_core, "_merge_counts", None)  # never called
-        order, pos = copula_core._ranked(np.random.default_rng(3).random((2, 50, 3)))
+        order, pos, _ = copula_core._ranked(np.random.default_rng(3).random((2, 50, 3)))
         for axis in range(3):
             got = _trace_counts(order, pos, axis)
             assert np.array_equal(got, _kernel_trace_counts(order, pos, axis))
@@ -336,7 +359,7 @@ class TestTraceCounts:
     @settings(max_examples=80, deadline=None)
     def test_merge_levels_match_naive_count(self, T, n, axis, kind, seed):
         x = _bivariate(kind, T, n, np.random.default_rng(seed))
-        order, pos = copula_core._ranked(x)
+        order, pos, _ = copula_core._ranked(x)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(copula_core, "_MERGE_MIN_N", 2)
             counts = _trace_counts(order, pos, axis)
@@ -344,6 +367,24 @@ class TestTraceCounts:
             rows = ((pos[t].T + 1) / n).tolist()
             want = [naive_copula_count(rows, rows[i]) for i in order[t, axis]]
             assert counts[t].tolist() == want
+
+
+class TestTiedTraceCrossover:
+    """Tied input never reaches merge levels, which assume permutations:
+    copula_trace takes the bitset kernel on either side of the crossover."""
+
+    @pytest.mark.parametrize("offset", [-1, 0, 37])
+    def test_tied_traces_equal_cdf_many_on_the_kernel(self, offset, monkeypatch):
+        n = copula_core._MERGE_MIN_N + offset
+        ps = PseudoSample(np.random.default_rng(n).integers(1, 5, size=(n, 2)) / 4)
+        merges = []
+        merge_counts = copula_core._merge_counts
+        monkeypatch.setattr(copula_core, "_merge_counts",
+                            lambda r: merges.append(r.shape) or merge_counts(r))
+        for axis in (0, 1):
+            trace = copula_trace(ps, axis)
+            assert np.array_equal(trace.values, EmpiricalCopula(ps).cdf_many(trace.points))
+        assert merges == []
 
 
 class TestEnvelopes:

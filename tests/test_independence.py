@@ -1,6 +1,7 @@
 """Calibration curves and the standardized independence test."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,16 @@ class TestCalibrationCurve:
             CalibrationCurve(mu_model=(8.0, 0.1), sigma_model=(3.0, -0.8))
         with pytest.raises(InvalidInput):
             CalibrationCurve(mu_model=(-1.0, -0.7), sigma_model=(3.0, -0.8))
+
+    @pytest.mark.parametrize("field", ["mu", "sigma"])
+    @pytest.mark.parametrize("model", [(math.nan, -0.5), (math.inf, -0.5), (-math.inf, -0.5),
+                                       (8.0, math.nan), (8.0, -math.inf)])
+    def test_non_finite_parameters_are_refused(self, field, model):
+        models = {"mu_model": (8.05, -0.74), "sigma_model": (2.99, -0.81)}
+        models[f"{field}_model"] = model
+        with pytest.raises(InvalidInput, match=rf"^{field} model parameters must be finite, got "
+                                               rf"\({re.escape(str(model[0]))}, "):
+            CalibrationCurve(**models)
 
     def test_prediction(self):
         curve = CalibrationCurve(mu_model=(8.05, -0.74), sigma_model=(2.99, -0.81))

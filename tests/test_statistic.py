@@ -19,6 +19,7 @@ from copstat import (
     copula_trace,
     detect_local_optima,
     domain_gamma,
+    kendall_mv,
     partition_domains,
     pseudo_observations,
 )
@@ -512,3 +513,37 @@ class TestCosBatch:
         for bad in (x[0], x[None], x[:, :1], x[:, :, :1]):
             with pytest.raises(InvalidInput):
                 _cos_batch(bad)
+
+
+class TestRowOrder:
+    """Without ties a sample's rows may come in any order: every result is
+    bit-identical (tied copula_trace counts: TestDominanceCounts)."""
+
+    @staticmethod
+    def _assert_row_order_free(data, perm):
+        shuffled = data[perm]
+        assert kendall_mv(shuffled).hex() == kendall_mv(data).hex()
+        for axis in range(data.shape[1]):
+            want, got = copula_statistic(data, axis), copula_statistic(shuffled, axis)
+            assert got.cos.hex() == want.cos.hex(), axis
+            assert got == want, axis  # every CosReport array
+
+    @given(st.integers(2, 80).flatmap(lambda n: st.tuples(
+               st.just(n), st.sampled_from([2, 3]), st.sampled_from(["random", "sine"]),
+               st.integers(0, 2**32 - 1), st.permutations(range(n)))))
+    @settings(max_examples=60, deadline=None)
+    def test_without_ties_rows_may_come_in_any_order(self, case):
+        n, d, kind, seed, perm = case
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal((n, d))
+        if kind == "sine":
+            data[:, 1:] += np.sin(9 * data[:, :1])
+        assert all(np.unique(column).size == n for column in data.T)  # no ties
+        self._assert_row_order_free(data, np.array(perm))
+
+    def test_without_ties_rows_may_come_in_any_order_past_the_crossover(self):
+        n = copula_core._MERGE_MIN_N + 37
+        rng = np.random.default_rng(41)
+        x = rng.random(n)
+        data = np.column_stack([x, np.sin(9 * x) + 0.3 * rng.normal(size=n)])
+        self._assert_row_order_free(data, rng.permutation(n))

@@ -309,6 +309,12 @@ class TestDependencySpec:
         with pytest.raises(InvalidParam):
             DependencySpec(kind="linear", p=-0.5)
 
+    @pytest.mark.parametrize("field", ["p", "freq"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_p_and_freq_are_refused(self, field, value):
+        with pytest.raises(InvalidParam, match=f"^{field} must be finite, got {value}$"):
+            DependencySpec(kind="sinusoidal", **{field: value})
+
     def test_r2_mode_needs_r2(self):
         with pytest.raises(InvalidParam):
             DependencySpec(kind="linear", noise_mode="r2_additive")
