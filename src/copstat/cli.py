@@ -13,13 +13,14 @@ import io
 import json
 import re
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, astuple, fields
 
 import numpy as np
 
 from .copula_core import Sample
 from .errors import CopstatError
 from .experiments import (
+    BiasRow,
     run_bias_table,
     run_equitability,
     run_power,
@@ -32,8 +33,8 @@ from .independence import (
     calibrate_null,
     test_independence,
 )
-from .statistic import DomainRecord, copula_statistic
-from .synth import NOISE_MODES, DependencySpec, derive_rng, gen_dependency, gen_ripley
+from .statistic import copula_statistic
+from .synth import NOISE_MODES, RIPLEY_FORMS, DependencySpec, derive_rng, gen_dependency, gen_ripley
 
 FLOAT_FMT = "%.17g"
 
@@ -188,9 +189,7 @@ def cmd_cos(args) -> int:
         "summary": report.summary(),
     }
     if args.domains:
-        # one list per DomainRecord field; runs are their rows
-        names = [f.name for f in fields(DomainRecord)]
-        payload["domains"] = dict(zip(names, report.domain_columns()))
+        payload["domains"] = report.domain_columns()
     emit_json(args.out, payload)
     return 0
 
@@ -220,13 +219,12 @@ def cmd_bias(args) -> int:
     if args.format == "json":
         emit_json(args.out, [asdict(r) for r in rows])
     else:
-        write_csv(args.out, ["source", "n", "mu", "sigma"],
-                  [(r.source, r.n, r.mu, r.sigma) for r in rows])
+        write_csv(args.out, [f.name for f in fields(BiasRow)], map(astuple, rows))
     return 0
 
 
 def cmd_power(args) -> int:
-    spec = DependencySpec(kind=args.dep, freq=args.freq, noise_mode="additive")
+    spec = DependencySpec(kind=args.dep, freq=args.freq)
     curve = run_power(spec, args.metric, args.trials, args.n, args.alpha, args.p_grid, args.seed)
     if args.format == "csv":
         write_csv(args.out, ["p", "power"], list(zip(curve.p_grid, curve.power)))
@@ -250,11 +248,14 @@ def cmd_equitability(args) -> int:
     return 0
 
 
-def _write_sample_csv(sample: Sample, out, sidecar: dict | None) -> None:
+def _write_sample_csv(sample: Sample, args) -> None:
+    """Write `sample` as CSV to args.out; a file gets a JSON sidecar at
+    args.out + ".json" holding the command and its options."""
     header = [f"x{i}" for i in range(sample.d)]
-    write_csv(out, header, [tuple(row) for row in sample.data])
-    if out and sidecar is not None:
-        _write(str(out) + ".json", json.dumps(sidecar, indent=2) + "\n")
+    write_csv(args.out, header, [tuple(row) for row in sample.data])
+    if args.out:
+        options = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
+        _write(args.out + ".json", json.dumps(options, indent=2) + "\n")
 
 
 def cmd_gen(args) -> int:
@@ -268,19 +269,13 @@ def cmd_gen(args) -> int:
         r2=args.r2,
     )
     sample = gen_dependency(spec, args.n, derive_rng(args.seed, "gen", args.kind))
-    _write_sample_csv(sample, args.out, {
-        "command": "gen", "kind": args.kind, "p": args.p, "mode": args.mode,
-        "x_range": args.x_range, "freq": args.freq, "fn_id": args.fn_id,
-        "r2": args.r2, "n": args.n, "seed": args.seed,
-    })
+    _write_sample_csv(sample, args)
     return 0
 
 
 def cmd_ripley(args) -> int:
     sample = gen_ripley(args.form, args.n, args.seed)
-    _write_sample_csv(sample, args.out, {
-        "command": "ripley", "form": args.form, "n": args.n, "seed": args.seed,
-    })
+    _write_sample_csv(sample, args)
     return 0
 
 
@@ -429,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("ripley", help="structured LCG/Box-Muller point pattern")
-    p.add_argument("--form", type=int, default=1, choices=(1, 2, 3, 4))
+    p.add_argument("--form", type=int, default=1, choices=tuple(RIPLEY_FORMS))
     p.add_argument("--n", type=int, default=1000)
     common(p, seed=True)
     p.set_defaults(func=cmd_ripley)

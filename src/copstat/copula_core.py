@@ -200,11 +200,9 @@ def pseudo_observations(sample) -> PseudoSample:
     return PseudoSample(u=(pos[0].T + 1) / pos.shape[2])
 
 
-def as_unit_point(point, d: int | None = None) -> np.ndarray:
-    """Validate unit-hypercube points, coordinates on the last axis (d of them if given)."""
+def as_unit_point(point) -> np.ndarray:
+    """Validate unit-hypercube points, coordinates on the last axis."""
     p = np.atleast_1d(np.asarray(point, dtype=float))
-    if d is not None and p.shape[-1] != d:
-        raise DimensionMismatch(f"expected a {d}-dimensional point, got {p.shape[-1]}")
     if p.shape[-1] < 1:
         raise InvalidInput("point has no coordinates")
     if not np.isfinite(p).all():

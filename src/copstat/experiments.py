@@ -47,12 +47,6 @@ class PowerCurve:
     seed: int
 
 
-def _as_spec(dependency, p: float) -> DependencySpec:
-    if isinstance(dependency, DependencySpec):
-        return replace(dependency, p=p, noise_mode="additive", r2=None)
-    return DependencySpec(kind=str(dependency), p=p, noise_mode="additive")
-
-
 def run_power(
     dependency,
     metric: str,
@@ -73,7 +67,8 @@ def run_power(
     are then monotone up to estimator noise rather than trial noise.
     Signed metrics are scored by magnitude.  Each block of trials is
     transformed to samples at once and scored: `cos` in one pass per
-    block, the other metrics one sample at a time.
+    block, the other metrics one sample at a time.  `dependency` is a
+    DependencySpec or a kind name; its noise is additive at each level.
     """
     score = _scorer(metric, InvalidParam, magnitude=True)
     if trials < 100 or n < 100:
@@ -81,19 +76,20 @@ def run_power(
     if not 0.0 < alpha < 1.0:
         raise InvalidParam("alpha must be in (0, 1)")
     p_grid = tuple(float(p) for p in p_grid)
-    dep_name = dependency.kind if isinstance(dependency, DependencySpec) else str(dependency)
+    if not isinstance(dependency, DependencySpec):
+        dependency = DependencySpec(kind=str(dependency))
 
     powers = []
     for p in p_grid:
-        spec = _as_spec(dependency, p)
-        null_vals = mc_values(seed, ("power", dep_name, "h0"), trials,
+        spec = replace(dependency, p=p, noise_mode="additive", r2=None)
+        null_vals = mc_values(seed, ("power", spec.kind, "h0"), trials,
                               _dependency(spec, n, independent=True), score)
         cutoff = float(np.quantile(null_vals, 1.0 - alpha))
-        vals = mc_values(seed, ("power", dep_name, "h1"), trials, _dependency(spec, n), score)
+        vals = mc_values(seed, ("power", spec.kind, "h1"), trials, _dependency(spec, n), score)
         powers.append(int(np.count_nonzero(vals > cutoff)) / trials)
 
     return PowerCurve(
-        dependency=dep_name,
+        dependency=dependency.kind,
         metric=metric,
         p_grid=p_grid,
         power=tuple(powers),
@@ -203,9 +199,9 @@ def _source_sampler(source: str):
         param = float(arg) if arg else 0.0
     except ValueError:
         raise InvalidParam(f"bias source {source!r} needs a number after ':'") from None
-    if name == "indep" or (name in ("gauss", "clayton") and param == 0.0) or (
-        name == "gumbel" and param == 1.0
-    ):
+    # independence members: the registry draws gauss:0 from normals and
+    # refuses clayton:0 (gumbel:1 it draws as uniform pairs itself)
+    if name == "indep" or (name in ("gauss", "clayton") and param == 0.0):
         return _uniform_pairs
     if name in _COPULA_SAMPLERS:
         return lambda n: _copula(name, param, n)

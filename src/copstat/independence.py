@@ -178,7 +178,9 @@ def calibrate_null(
     """Fit the null mean and sigma power laws over a grid of sample sizes.
 
     Each grid point runs `trials_per_n` independent-uniform samples; the
-    models are least-squares fits of log(statistic) on log(n).
+    models are least-squares fits of log(statistic) on log(n).  A fit whose
+    mean or sigma does not shrink with n, as on a grid too narrow for the
+    trial noise, raises InvalidGrid.
     """
     grid = tuple(int(n) for n in n_grid)
     if len(grid) < 2:
@@ -196,6 +198,12 @@ def calibrate_null(
     logn = np.log(np.asarray(grid, dtype=float))
     b_mu, loga_mu = np.polyfit(logn, np.log(mus), 1)
     b_sg, loga_sg = np.polyfit(logn, np.log(sigmas), 1)
+    growing = [f"{name} exponent {float(b)}" for name, b in (("mu", b_mu), ("sigma", b_sg))
+               if not b < 0]
+    if growing:
+        raise InvalidGrid(f"null fit over grid {list(grid)} with {trials_per_n} trials per size "
+                          f"has a non-negative {' and '.join(growing)}; "
+                          "widen the grid or add trials")
     return CalibrationCurve(
         mu_model=(math.exp(loga_mu), float(b_mu)),
         sigma_model=(math.exp(loga_sg), float(b_sg)),

@@ -135,18 +135,16 @@ class CosReport:
     def n_points(self) -> np.ndarray:
         return self.end - self.start + 1
 
-    def domain_columns(self) -> tuple[list, ...]:
-        """The runs' DomainRecord fields, in field order, one list each."""
+    def domain_columns(self) -> dict[str, list]:
+        """The runs' DomainRecord fields, one list per field name, in field order."""
         direction = np.where(self.rising, NON_DECREASING, NON_INCREASING)
-        columns = (self.start, self.end, direction, self.n_points,
-                   self.lambda_min, self.lambda_max, self.gamma, self.local_opt_min,
-                   self.local_opt_max)
-        return tuple(c.tolist() for c in columns)
+        return {f.name: (direction if f.name == "direction" else getattr(self, f.name)).tolist()
+                for f in fields(DomainRecord)}
 
     @property
     def domains(self) -> tuple[DomainRecord, ...]:
         """The runs as DomainRecord records, built on each access."""
-        return tuple(map(DomainRecord, *self.domain_columns()))
+        return tuple(map(DomainRecord, *self.domain_columns().values()))
 
     def summary(self) -> dict:
         """The runs grouped by length, as a dict ready for JSON.
@@ -189,8 +187,11 @@ def copula_trace(ps: PseudoSample, sort_axis: int = 0) -> Trace:
     Points are ordered by their pseudo-coordinate on `sort_axis` (stable on
     the original index); each trace value is C_n at the point's full
     pseudo-coordinate vector: its exact count of points at or below it in
-    every coordinate, ties included, divided by n.
+    every coordinate, ties included, divided by n.  A sample needs at
+    least one row and two columns.
     """
+    if ps.n < 1 or ps.d < 2:
+        raise InvalidInput(f"trace needs at least 1 row and 2 columns, got shape {ps.u.shape}")
     if not 0 <= sort_axis < ps.d:
         raise InvalidInput(f"sort_axis {sort_axis} out of range for d={ps.d}")
     order, pos, ranked = _ranked(ps.u[None])

@@ -25,8 +25,7 @@ from copstat import (
     gen_dependency,
     test_independence,
 )
-from copstat.independence import sample_copula
-from copstat.synth import TEST_FUNCTIONS
+from copstat.synth import TEST_FUNCTIONS, sample_copula
 
 
 #: Metrics whose sign carries the direction of dependence; power studies

@@ -33,6 +33,12 @@ from oracles import loop_dependence_matrix, loop_read_csv, naive_score_matrix
 DOMAIN_FIELDS = [f.name for f in fields(DomainRecord)]
 
 
+def read_sidecar(path):
+    """A sample file's JSON sidecar, and its keys in file order."""
+    sidecar = json.loads(Path(str(path) + ".json").read_text())
+    return sidecar, list(sidecar)
+
+
 def write(path, text):
     path.write_text(text, encoding="utf-8", newline="")
     return str(path)
@@ -132,8 +138,10 @@ class TestCos:
         report = copula_statistic(data)
         assert report.m > 10
         domains = doc["domains"]
-        assert list(domains) == DOMAIN_FIELDS
-        assert domains == dict(zip(DOMAIN_FIELDS, report.domain_columns()))
+        assert list(domains) == DOMAIN_FIELDS == [
+            "start", "end", "direction", "n_points", "lambda_min", "lambda_max", "gamma",
+            "local_opt_min", "local_opt_max"]
+        assert domains == report.domain_columns()
         # the README's one line that turns the columns back into records
         assert [dict(zip(domains, r)) for r in zip(*domains.values())] == [
             asdict(r) for r in report.domains]
@@ -150,7 +158,7 @@ class TestCos:
         assert json.loads(out) == {
             "cos": report.cos, "n": 200, "d": 2, "m": report.m, "sort_axis": 0,
             "sort_column": "a", "columns": ["a", "b"], "summary": report.summary(),
-            "domains": dict(zip(DOMAIN_FIELDS, report.domain_columns())),
+            "domains": report.domain_columns(),
         }
 
     def test_writes_one_line_of_json_without_domains_by_default(self, tmp_path, capsys):
@@ -463,8 +471,9 @@ class TestGen:
         data = str(tmp_path / "lin.csv")
         assert main(["gen", "--kind", "linear", "--p", "0", "--n", "200",
                      "--seed", "5", "--out", data]) == 0
-        sidecar = json.loads((tmp_path / "lin.csv.json").read_text())
-        assert sidecar["kind"] == "linear" and sidecar["seed"] == 5
+        expected = {"command": "gen", "kind": "linear", "p": 0.0, "mode": "additive",
+                    "x_range": None, "freq": 1.0, "fn_id": 1, "r2": None, "n": 200, "seed": 5}
+        assert read_sidecar(data) == (expected, list(expected))
         assert main(["cos", data]) == 0
         assert json.loads(capsys.readouterr().out)["cos"] == 1.0
 
@@ -517,6 +526,22 @@ class TestGen:
         _, parsed = read_csv(path)
         assert np.array_equal(parsed, expected.data)
 
+    def test_sidecar_of_every_option(self, tmp_path):
+        path = tmp_path / "r2.csv"
+        assert main(["gen", "--kind", "cosine", "--x-range=-1,2", "--mode", "r2_additive",
+                     "--r2", "0.5", "--freq", "3", "--fn-id", "4", "--p", "0.25", "--n", "50",
+                     "--seed", "9", "--out", str(path)]) == 0
+        expected = {"command": "gen", "kind": "cosine", "p": 0.25, "mode": "r2_additive",
+                    "x_range": [-1.0, 2.0], "freq": 3.0, "fn_id": 4, "r2": 0.5, "n": 50,
+                    "seed": 9}
+        assert read_sidecar(path) == (expected, list(expected))
+
+    def test_no_sidecar_on_stdout(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen", "--n", "5"]) == 0
+        assert capsys.readouterr().out.startswith("x0,x1\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRipley:
     def test_deterministic_default_seed(self, capsys):
@@ -528,8 +553,8 @@ class TestRipley:
     def test_sidecar(self, tmp_path):
         path = str(tmp_path / "r.csv")
         assert main(["ripley", "--form", "2", "--n", "20", "--out", path]) == 0
-        sidecar = json.loads((tmp_path / "r.csv.json").read_text())
-        assert sidecar["form"] == 2 and sidecar["seed"] == 1
+        expected = {"command": "ripley", "form": 2, "n": 20, "seed": 1}
+        assert read_sidecar(path) == (expected, list(expected))
 
 
 class TestItestAndCalibrate:
@@ -579,6 +604,14 @@ class TestItestAndCalibrate:
 
     def test_calibrate_invalid_grid_exits_2(self, capsys):
         assert main(["calibrate", "--grid", "10,20", "--trials", "200"]) == 2
+
+    def test_calibrate_narrow_grid_names_the_fit(self, capsys):
+        assert main(["calibrate", "--grid", "50,60", "--trials", "200"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(r"error: null fit over grid \[50, 60\] with 200 trials per size has "
+                            r"a non-negative sigma exponent 0\.206\d*; widen the grid or add "
+                            r"trials\n", err)
 
 
 class TestPower:
@@ -645,6 +678,14 @@ class TestBias:
         assert lines[0] == "source,n,mu,sigma"
         source, n, mu, sigma = lines[1].split(",")
         assert source == "sin:1" and float(mu) == 1.0
+
+    def test_csv_is_the_library_table(self, capsys):
+        assert main(["bias", "--sources", "indep,gumbel:1.3", "--grid", "60,80",
+                     "--trials", "500", "--seed", "4", "--format", "csv"]) == 0
+        rows = run_bias_table(["indep", "gumbel:1.3"], [60, 80], 500, 4)
+        assert capsys.readouterr().out == "".join(
+            ["source,n,mu,sigma\n"] + [f"{r.source},{r.n},{r.mu:.17g},{r.sigma:.17g}\n"
+                                        for r in rows])
 
 
 def _separator_expr(tmp_path):

@@ -409,11 +409,6 @@ class TestEnvelopes:
                 frechet_upper(point)
         assert copula_core.as_unit_point(np.empty((0, 2))).shape == (0, 2)
 
-    def test_unit_point_of_the_wrong_dimension(self):
-        with pytest.raises(DimensionMismatch, match="expected a 3-dimensional point, got 2"):
-            copula_core.as_unit_point([0.5, 0.5], 3)
-        assert copula_core.as_unit_point([0.5, 0.5], 2).tolist() == [0.5, 0.5]
-
     def test_batched_points_match_a_loop_over_coordinates(self):
         rng = np.random.default_rng(18)
         for d in range(1, 11):

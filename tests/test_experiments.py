@@ -67,6 +67,10 @@ class TestRunPower:
         args = ("circular", metric, 130, 100, 0.05, (0.0, 0.5, 2.0), 11)
         assert run_power(*args).power == loop_power(*args)
 
+    def test_unknown_kind_refused_without_noise_levels(self):
+        with pytest.raises(InvalidParam, match="unknown dependency kind 'helix'"):
+            run_power("helix", "cos", 100, 100, 0.05, [])
+
     def test_accepts_dependency_spec(self):
         spec = DependencySpec(kind="sinusoidal", freq=4.0)
         curve = run_power(spec, "cos", 100, 100, 0.05, [0.0], seed=5)
@@ -133,8 +137,9 @@ class TestRunBiasTable:
         assert rows[0].sigma == 0.0
 
     def test_matches_trial_loop(self):
-        # 500 trials at n = 60: blocks of 106 samples and a last one of 76
-        sources = ["indep", "gumbel:1.26", "sin:3"]
+        # 500 trials at n = 60: blocks of 106 samples and a last one of 76;
+        # the oracle draws the independence members as uniform pairs
+        sources = ["indep", "gauss:0", "clayton:0", "gumbel:1", "gumbel:1.26", "sin:3"]
         rows = run_bias_table(sources, [60], trials=500, seed=13)
         assert [(r.source, r.n, r.mu, r.sigma) for r in rows] == loop_bias_table(
             sources, [60], 500, 13)

@@ -20,8 +20,9 @@ from copstat import (
     null_moments,
     type2_error,
 )
+from copstat import independence
 from copstat import test_independence as run_test  # alias: pytest must not collect it
-from copstat.independence import sample_copula
+from copstat.synth import sample_copula
 
 from oracles import loop_null_moments, loop_type2_error
 
@@ -90,6 +91,24 @@ class TestCalibrateNull:
             calibrate_null([100], trials_per_n=200)
         with pytest.raises(InvalidGrid):
             calibrate_null([50, 100], trials_per_n=100)
+
+    def test_narrow_grid_names_the_fit(self):
+        # at 200 trials the null's spread barely moves from n = 50 to 60, so
+        # its fitted exponent comes out positive
+        with pytest.raises(InvalidGrid, match=(
+                r"^null fit over grid \[50, 60\] with 200 trials per size has a non-negative "
+                r"sigma exponent 0\.206\d*; widen the grid or add trials$")):
+            calibrate_null([50, 60], trials_per_n=200)
+        assert calibrate_null([50, 100], trials_per_n=200).sigma_model[1] < 0
+
+    def test_names_every_growing_exponent(self, monkeypatch):
+        def growing(n, trials, seed):  # moments that grow with n
+            return n / 1e3, n / 1e4
+
+        monkeypatch.setattr(independence, "null_moments", growing)
+        with pytest.raises(InvalidGrid, match=(
+                r"has a non-negative mu exponent [01]\.\d+ and sigma exponent [01]\.\d+;")):
+            calibrate_null([50, 100], trials_per_n=200)
 
     def test_reproducible_and_decaying(self):
         a = calibrate_null([50, 100, 200], trials_per_n=200, seed=11)

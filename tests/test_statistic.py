@@ -56,6 +56,19 @@ class TestCopulaTrace:
         with pytest.raises(InvalidInput):
             copula_trace(ps, sort_axis=2)
 
+    @pytest.mark.parametrize("shape", [(3, 1), (0, 2), (3, 0), (0, 1)])
+    def test_refuses_fewer_than_one_row_or_two_columns(self, shape):
+        ps = PseudoSample(np.full(shape, 0.5))
+        message = f"trace needs at least 1 row and 2 columns, got shape {shape}"
+        with pytest.raises(InvalidInput) as exc:
+            copula_trace(ps)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_one_row_traces_to_one(self, d):
+        tr = copula_trace(PseudoSample(np.full((1, d), 0.5)), sort_axis=d - 1)
+        assert tr.values.tolist() == [1.0] and tr.order.tolist() == [0]
+
     @pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 129])
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_tied_points_match_stable_order_and_naive_count(self, n, d):
