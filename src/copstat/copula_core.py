@@ -13,6 +13,7 @@ from concurrent code.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,21 +34,25 @@ DEGENERATE_EPS = 1e-12
 _EVAL_BLOCK_CELLS = 8_000_000
 
 # Samples of two columns and at least this many points count dominance by
-# merge levels, O(n log n), rather than by the bitset kernel.  For one
-# sample, merge levels took 1.35-1.39 times the kernel's time at n = 1400,
-# 0.85-1.19 at n = 1600, 0.82-1.00 at n = 1800 and 0.69-0.93 at n = 2000
-# (medians of 20 alternating rounds, two runs, 2-core x86 host).
-_MERGE_MIN_N = 1700
+# merge levels, O(n log n), rather than by the bitset kernel.  On the four
+# kinds of n-point sample of the large_bivariate_cli benchmark, merge
+# levels took 1.13-1.59 times the kernel's time at n = 3000, 0.98-1.50 at
+# 4000, 0.68-1.35 at 5000 and 0.58-0.89 at 8000 (medians of 12-16
+# alternating rounds, two runs, 2-core x86 host).  Merge levels sort a
+# monotone sample fastest, so it crosses over first: 0.68-0.91 at 5000.
+_MERGE_MIN_N = 5000
 
-# uint64 words per prefix table in _dominance_counts (128 KiB), one table
-# covering one column of every sample of a stack, and at least two words
-# per row.  Against 1 MiB tables the kernel took 0.62 of the time on a
-# (32, 200, 2) Monte Carlo block, 0.59 at n = 2000, d = 5, 0.77 at
-# n = 20000, d = 3 and the same at n = 5000, d = 3; filling a fresh
-# 200 KiB table took 57 us against 8 us for a reused one.  One-word tiles
-# cost more per tile than they save: 92 against 46 ms at n = 20000, d = 3
-# (2-core x86 host).
-_PREFIX_TABLE_WORDS = 16_384
+# uint64 words per tile of _dominance_counts (512 points) for n < 8100;
+# larger samples take isqrt(n) // 10 words, as each tile's O(n) set-up
+# then weighs more.  Against 8-word tiles, 4-word tiles took 1.21-1.30 of
+# the time from n = 2000, d = 5 to n = 50000, d = 3; 16-word tiles 1.13
+# at n = 2000, 0.96 at 5000, 0.83 at 20000 and 0.74 at 50000; 24-word
+# tiles 2.48, 1.18, 0.87 and 0.73 (medians of 8 alternating rounds).
+# Rows are gathered _GATHER_WORDS words (256 KiB) at a time: at n = 20000,
+# d = 3, gathers of 8K words took 1.09 of its time, 16K 1.02, 64K 1.22
+# and 128K 1.37 (10 rounds; 2-core x86 host).
+_TILE_WORDS = 8
+_GATHER_WORDS = 1 << 15
 
 
 def _observations(data, axes: tuple[str, ...]) -> np.ndarray:
@@ -125,7 +130,8 @@ class PseudoSample:
         a = np.asarray(self.u, dtype=float)
         if a.ndim != 2:
             raise InvalidInput("pseudo-observations must be a 2-D array")
-        if a.size and (a.min() <= 0.0 or a.max() > 1.0):
+        # NaN fails both comparisons, where min and max would pass it
+        if not ((a > 0.0) & (a <= 1.0)).all():
             raise InvalidInput("pseudo-observations must lie in (0, 1]")
         object.__setattr__(self, "u", _readonly(a))
 
@@ -155,7 +161,12 @@ def _ranked(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Columns are sorted by the default (unstable) sort.  A column without
     ties has one sorting order, the stable one; only the columns where
-    adjacent sorted values are equal are sorted again, stably.
+    adjacent sorted values are equal are sorted again, stably, by dense
+    value ids: the count of value changes before each sorted position,
+    scattered back to the points.  Ids of at most 16 bits (n <= 65,536)
+    take numpy's stable radix sort: 107 us against 310 us for a stable
+    sort of the values of three 20-level columns at n = 2000 (2-core x86
+    host).
     """
     columns = np.ascontiguousarray(x.transpose(0, 2, 1))
     order = np.argsort(columns, axis=2)
@@ -163,7 +174,12 @@ def _ranked(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ranked = columns.ravel().take(order + rows)
     tied = (ranked[..., 1:] == ranked[..., :-1]).any(axis=2)
     if tied.any():
-        order[tied] = np.argsort(columns[tied], axis=1, kind="stable")
+        values = ranked[tied]
+        ids = np.zeros(values.shape, dtype=np.min_scalar_type(values.shape[1] - 1))
+        np.cumsum(values[:, 1:] != values[:, :-1], axis=1, dtype=ids.dtype, out=ids[:, 1:])
+        by_point = np.empty_like(ids)
+        by_point.ravel()[(order[tied] + _rows(ids)).ravel()] = ids.ravel()
+        order[tied] = np.argsort(by_point, axis=1, kind="stable")
     pos = np.empty(order.size, dtype=order.dtype)
     pos[(order + rows).ravel()] = np.tile(np.arange(order.shape[2]), order.size // order.shape[2])
     return order, pos.reshape(order.shape), ranked
@@ -240,8 +256,8 @@ class EmpiricalCopula:
         Raises DimensionMismatch unless `pts` has shape (m, d), and
         InvalidInput on coordinates that are not finite or lie outside
         [0, 1].  At the sample's own points, `copula_trace(points).values`
-        gives the same values, in trace order, in O(d n^2 / 64) word
-        operations.
+        gives the same values, in trace order, in about d n^2 / 128 word
+        operations (`_dominance_counts`).
         """
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.d:
@@ -276,6 +292,16 @@ def _trace_ranks(order: np.ndarray, pos: np.ndarray, sort_axis: int) -> np.ndarr
 _LOW_BITS = np.bitwise_or.accumulate(np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64)))
 
 
+def _triangle(wide: int) -> np.ndarray:
+    """(64 wide, wide) bitsets over a tile of 64 wide points: row c holds
+    points 0..c, all ones before c's own word, bits 0..c % 64 in it and
+    none after."""
+    w = np.arange(wide)
+    triangle = np.where(w[:, None] > w, _LOW_BITS[63], np.uint64(0)).repeat(64, axis=0)
+    triangle.reshape(wide, 64, wide)[w, :, w] = _LOW_BITS
+    return triangle
+
+
 def _dominance_counts(rank: np.ndarray, row: np.ndarray, cut: np.ndarray) -> np.ndarray:
     """Dominance counts (T, n) of each sample of a stack, in trace order:
     at trace point i, the number of points at or below it in every column.
@@ -288,58 +314,80 @@ def _dominance_counts(rank: np.ndarray, row: np.ndarray, cut: np.ndarray) -> np.
     the last trace index sharing each point's sort-axis value (range(n)
     where values are distinct).
 
-    Bit i of a bitset stands for trace point i.  On the sort axis, the
-    points at or below point i are trace points 0..cut[i]: row cut[i] of a
-    lower-triangular mask, the same for every sample.  In another column,
-    row r of a prefix table is the bitset of the first r + 1 points in
-    sorted order, so the points at or below point i are table row row[i].
-    AND-ing the mask row with one table row per other column and counting
-    bits gives the count.  Points are tiled by 64-bit word so that the
-    tables of the whole stack hold at most _PREFIX_TABLE_WORDS words, or
-    2 T n words (two words per row) when that is more.
+    Bit i of a bitset stands for trace point i, and the points are tiled
+    by W = max(_TILE_WORDS, isqrt(n) // 10) 64-bit words, the last tile
+    holding what is left.  On the sort axis, the points at or below
+    point i are trace points 0..cut[i]: none of a tile's points when
+    cut[i] lies before the tile, so the tile skips those rows; all of them
+    when it lies after; else a row of `_triangle`.  In another column, row
+    m of the tile's prefix table is the bitset of the tile's m
+    lowest-ranked points, so point i reads the row numbered by how many
+    tile points rank at or below its `row`: a running count over a flag
+    per tile point, or `row` + 1 when one tile holds every point.  AND-ing
+    one table row per other column with the sort-axis bitset and counting
+    bits gives the tile's share of point i's count.  For W-word tiles a
+    tile's tables cost O(d T (n + 64 W^2)) to build, and gathering the
+    rows of all tiles O(d T n^2 / 128) word operations, _GATHER_WORDS
+    words at a time.
     """
-    T, n = rank.shape[1:]
+    columns, T, n = rank.shape
+    words = -(-n // 64)
+    wide = min(words, max(_TILE_WORDS, math.isqrt(n) // 10))
+    triangle = _triangle(wide)
     point = np.arange(n)
     bit = np.left_shift(np.uint64(1), (point % 64).astype(np.uint64))
-    words = -(-n // 64)
-    tile = min(words, max(2, _PREFIX_TABLE_WORDS // (T * n)))
-    sample = (np.arange(T) * n)[:, None]  # first table row of each sample
-    gather = (row + sample).reshape(-1, T * n)
-    cut_word = cut // 64  # non-decreasing, as the trace is sorted
-    counts = np.zeros((T, n), dtype=np.int64)
-    for w0 in range(0, words, tile):
-        w1 = min(w0 + tile, words)
-        wide = w1 - w0
-        pts = slice(64 * w0, 64 * w1)
-        # the mask's words w0..w1-1 in row c: all ones before c's own word,
-        # bits 0..c % 64 in it and none after; the rows are taken from one
-        # row per word, then each own word is set
-        by_word = (np.arange(w0, w1) < np.arange(words)[:, None]) * _LOW_BITS[63]
-        mask = by_word.take(cut_word, axis=0)
-        lo, hi = cut_word.searchsorted([w0, w1])
-        mask.ravel()[np.arange(lo, hi) * wide + cut_word[lo:hi] - w0] = _LOW_BITS[cut[lo:hi] % 64]
-        # each tile point's bit, at its flat index in the tables less its
-        # row's offset
-        offset = sample * wide + point[pts] // 64 - w0
-        bits = np.broadcast_to(bit[pts], offset.shape).ravel()
-        table = np.empty(T * n * wide, dtype=np.uint64)
-        hit = None
-        for r, g in zip(rank, gather):
-            table.fill(0)
-            table[(r[:, pts] * wide + offset).ravel()] = bits
-            np.bitwise_or.accumulate(table.reshape(T, n, wide), axis=1,
-                                     out=table.reshape(T, n, wide))
-            # mode="clip" skips the bounds check; the rows are in range
-            below = table.reshape(T * n, wide).take(g, axis=0, mode="clip")
-            hit = below if hit is None else np.bitwise_and(hit, below, out=hit)
-        np.bitwise_and(hit.reshape(T, -1), mask.ravel(), out=hit.reshape(T, -1))
-        # add the words' bit counts one word column at a time: numpy reduces
-        # a short last axis point by point (einsum took 59 us and these adds
-        # 22 us on (6400, 4) counts, 2-core x86 host)
-        hits = np.bitwise_count(hit)
-        for w in range(wide):
-            counts += hits[:, w].reshape(T, n)
-    return counts
+    # one table per column and sample, each of `height` rows
+    table_id = (np.arange(columns)[:, None, None] * T + np.arange(T)[:, None])
+    if wide == words:
+        # one tile: a point's table row is its rank's, after the empty row
+        place = rank + (table_id * (n + 1) + 1)
+        look = place if row is rank else row + (table_id * (n + 1) + 1)
+    else:
+        flat_rank = rank + table_id * n  # flat indices into (columns, T, n)
+        flat_row = flat_rank if row is rank else row + table_id * n
+        tile_point = np.empty((columns, T, n), dtype=np.int8)
+        table_row = np.empty((columns, T, n), dtype=np.intp)
+    # each point's bit count by word of its tile, summed over tiles; no
+    # sum exceeds the point's count
+    bit_counts = np.zeros((T, n, wide), dtype=np.min_scalar_type(n))
+    chunk = max(1, _GATHER_WORDS // (T * wide))
+    buffer = np.empty(columns * T * (min(n, 64 * wide) + 1) * wide, dtype=np.uint64)
+    for w0 in range(0, words, wide):
+        p0, p1 = 64 * w0, min(64 * (w0 + wide), n)  # the tile's points
+        tile_words = -(-(p1 - p0) // 64)
+        height = p1 - p0 + 1
+        if wide < words:
+            # each position's count of tile points ranked at or below it
+            tile_point.fill(0)
+            tile_point.ravel()[flat_rank[..., p0:p1]] = 1
+            np.cumsum(tile_point, axis=2, out=table_row)
+            table_row += table_id * height
+            place = table_row.ravel().take(flat_rank[..., p0:p1])
+        tables = buffer[:columns * T * height * tile_words].reshape(-1, tile_words)
+        tables.fill(0)
+        # each tile point's bit, at its flat index in the tables
+        tables.ravel()[place * tile_words + (point[p0:p1] // 64 - w0)] = bit[p0:p1]
+        stacked = tables.reshape(columns * T, height, tile_words)
+        np.bitwise_or.accumulate(stacked, axis=1, out=stacked)
+        # rows from lo on reach into the tile; rows from mid on cover all of it
+        lo, mid = cut.searchsorted([p0, p1])
+        for c0 in range(lo, n, chunk):
+            c1 = min(c0 + chunk, n)
+            hit = None
+            for k in range(columns):
+                at = (look[k, :, c0:c1] if wide == words
+                      else table_row.ravel().take(flat_row[k, :, c0:c1]))
+                # mode="clip" skips the bounds check; the rows are in range
+                got = tables.take(at, axis=0, mode="clip")
+                hit = got if hit is None else np.bitwise_and(hit, got, out=hit)
+            if c0 < mid:
+                masked = hit[:, :min(mid, c1) - c0]
+                mask = triangle.take(cut[c0:min(mid, c1)] - p0, axis=0)[:, :tile_words]
+                np.bitwise_and(masked, mask, out=masked)
+            into = bit_counts[:, c0:c1, :tile_words]
+            np.add(into, np.bitwise_count(hit), out=into)
+    # numpy sums a short last axis point by point; einsum does not
+    return np.einsum("tnw->tn", bit_counts).astype(np.int64)
 
 
 def _trace_counts(order: np.ndarray, pos: np.ndarray, last: np.ndarray,

@@ -61,8 +61,8 @@ def kendall_mv(sample) -> float:
     exactly the classical concordance estimator; the naive 1/n-weighted
     average would be biased by (3 - tau)/n.  The copula mass is the exact
     integer total of the dominance counts, as `copula_statistic` takes
-    them: O(n log n) for two columns and n >= _MERGE_MIN_N, else O(d n^2 /
-    64) word operations.
+    them: O(n log n) for two columns and n >= _MERGE_MIN_N, else about
+    d n^2 / 128 word operations.
     """
     s = as_sample(sample)
     n, d = s.n, s.d

@@ -363,10 +363,11 @@ def copula_statistic(sample, sort_axis: int = 0) -> CosReport:
 
     The trace is sorted on `sort_axis` (column 0 by default).  It counts
     every point's dominated points: by merge levels in O(n log n) for two
-    columns and n >= _MERGE_MIN_N, else with 64-point bitsets in O(d n^2 /
-    64) word operations, one prefix table per column other than the sort
-    axis, whose prefix sets are the trace's own order.  Scoring the runs
-    is O(n) array work.  The result is deterministic in the input:
+    columns and n >= _MERGE_MIN_N, else with 64-point bitsets over tiles
+    of the trace in about d n^2 / 128 word operations.  Each tile builds a
+    prefix table over its own points for each column other than the sort
+    axis, and skips the trace points that lie before it on the sort axis.
+    Scoring the runs is O(n) array work.  The result is deterministic in the input:
     it is `_scored`'s stack of one, bit-identical to `_cos_batch`.  The
     report keeps the runs as arrays; reading `report.domains` builds their
     DomainRecords, which no part of the statistic needs.
