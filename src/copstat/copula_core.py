@@ -36,11 +36,13 @@ _EVAL_BLOCK_CELLS = 8_000_000
 # Samples of two columns and at least this many points count dominance by
 # merge levels, O(n log n), rather than by the bitset kernel.  On the four
 # kinds of n-point sample of the large_bivariate_cli benchmark, merge
-# levels took 1.13-1.59 times the kernel's time at n = 3000, 0.98-1.50 at
-# 4000, 0.68-1.35 at 5000 and 0.58-0.89 at 8000 (medians of 12-16
-# alternating rounds, two runs, 2-core x86 host).  Merge levels sort a
-# monotone sample fastest, so it crosses over first: 0.68-0.91 at 5000.
-_MERGE_MIN_N = 5000
+# levels took a median over the kinds of 1.21-1.36 times the kernel's time
+# at n = 5000, 1.13-1.21 at 6000, 0.87-0.94 at 7000 and 0.83-0.93 at 8000
+# (three runs of 30-40 alternating rounds; 2-core x86 host).  With one n
+# per process the median crossed 1 near 7350; whole copula_statistic calls
+# crossed it below 6000.  A monotone sample, which merge levels sort
+# fastest, crosses first: 0.86-0.91 at 5000.
+_MERGE_MIN_N = 7000
 
 # uint64 words per tile of _dominance_counts (512 points) for n < 8100;
 # larger samples take isqrt(n) // 10 words, as each tile's O(n) set-up

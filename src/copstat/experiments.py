@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import synth
 from .copula_core import as_sample
 from .errors import DegenerateMarginal, EmptyEdgeList, InvalidInput, InvalidParam
 from .metrics import _scorer
@@ -24,7 +25,6 @@ from .synth import (  # noqa: F401
     DependencySpec,
     _copula,
     _dependency,
-    _score_blocks,
     _uniform_pairs,
     derive_rng,
     gen_dependency,
@@ -241,18 +241,22 @@ class NetworkScore:
 
 def dependence_matrix(expr, metric: str = "cos") -> np.ndarray:
     """Symmetric pairwise dependence matrix with zero diagonal, signed
-    metrics by magnitude, all gene pairs scored in blocks by `_score_blocks`."""
+    metrics by magnitude.  The gene pairs (a, b), a < b, are scored in
+    blocks of k = max(1, _BLOCK_CELLS // 2n) pairs, each block's (k, n, 2)
+    stack gathered from the gene columns in one indexing pass."""
     x = as_sample(expr).data
-    g = x.shape[1]
+    n, g = x.shape
     i, j = np.triu_indices(g, 1)
+    pairs = np.stack([i, j], axis=-1)[:, None]  # broadcasts against rows to (pairs, n, 2)
+    rows = np.arange(n)[:, None]
+    k = max(1, synth._BLOCK_CELLS // (2 * n))
     score = _scorer(metric, magnitude=True)
-    # x[:, a:b + 1:b - a] views columns a and b (a < b) without a copy
-    pairs = (x[:, a:b + 1:b - a] for a, b in zip(i.tolist(), j.tolist()))
     try:
-        values = _score_blocks(pairs, score)
+        values = np.concatenate([score(x[rows, pairs[first:first + k]])
+                                 for first in range(0, len(pairs), k)], dtype=float)
     except DegenerateMarginal:  # a constant gene: name its column, not the pair's
-        k = np.flatnonzero((x == x[0]).all(axis=0))[0]
-        raise DegenerateMarginal(f"gene column {k} is constant") from None
+        col = np.flatnonzero((x == x[0]).all(axis=0))[0]
+        raise DegenerateMarginal(f"gene column {col} is constant") from None
     m = np.zeros((g, g))
     m[i, j] = m[j, i] = values
     return m

@@ -335,18 +335,16 @@ def _scored(x: np.ndarray, sort_axis: int) -> tuple[np.ndarray, ...]:
     trace_id, start, end, rising, argmin, argmax = _runs(s)
     n_points = end - start + 1
     lo_min, lo_max = _optima(s, trace_id, end, n_points, rising, n)
-    # the runs' extreme points, minima then maxima, by flat trace index:
-    # their copula values and pseudo-observations, (i + 1) / n on the sort
-    # axis for trace index i and (rank + 1) / n on the other axes
-    extreme = np.stack([argmin, argmax])
-    at = trace_id * n + extreme
-    p = np.empty(at.shape + (d,))
-    p[..., sort_axis] = extreme
-    others = rank.reshape(d - 1, T * n).take(at, axis=1)
-    p[..., np.arange(d) != sort_axis] = np.moveaxis(others, 0, -1)
+    # lambda at every trace point, whose pseudo-observation is (i + 1) / n
+    # on the sort axis for trace index i and (rank + 1) / n on the other
+    # axes, read at each run's extreme points
+    p = np.empty((T, n, d))
+    p[..., sort_axis] = np.arange(n)
+    p[..., np.arange(d) != sort_axis] = np.moveaxis(rank, 0, -1)
     p += 1
     p /= n
-    lam_min, lam_max = relative_distance(s.ravel()[at], p, 1.0 / (2 * n))
+    lam = relative_distance(s, p, 1.0 / (2 * n)).ravel()
+    lam_min, lam_max = lam[trace_id * n + argmin], lam[trace_id * n + argmax]
     gamma = domain_gamma(lam_min, lam_max, lo_min | lo_max)
     cos = _weighted_means(trace_id, n_points, gamma, T, n)
     return cos, start, end, rising, lam_min, lam_max, gamma, lo_min, lo_max

@@ -15,8 +15,8 @@ by its key and counter, so it can be replayed from its start by setting
 the key with a zero counter on any Philox generator.  `derive_rng` builds
 a new generator on SeedSequence(words) itself, so it can spawn;
 `mc_values` runs Monte Carlo trials, one stream per trial, keys all of
-them in one array pass, replays each on one reused generator and scores
-the trials in blocks.
+them in one array pass, replays each on one reused generator into its
+block's array of raw draws and scores the trials a block at a time.
 
 Each sampler comes in two steps, a `_Sampler`: a trial's stream gives only
 the sample's raw variates, and the family's transform maps a whole block
@@ -176,28 +176,12 @@ def derive_rng(seed: int, *labels) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(_key_words(seed, *labels))))
 
 
-#: Cells (samples x n x d) of the scored samples in a block that
-#: _score_blocks hands to its scorer: 32 trials at n = 200, d = 2.  Bounds
-#: the block's memory, which the scorer's temporaries multiply about 11-fold;
-#: larger blocks were measured no faster.
+#: Cells (samples x n x d) of the scored samples in a Monte Carlo or gene
+#: pair block: 32 trials at n = 200, d = 2.  Bounds the block's memory,
+#: which the scorer's temporaries multiply about 11-fold; larger blocks were
+#: measured no faster (25,600 cells: 0.78-0.98 of the mc_pipelines
+#: benchmark's samples_per_s over 6 pairs, peak RSS 1.1 MB higher).
 _BLOCK_CELLS = 12_800
-
-
-def _score_blocks(arrays, score, cells=None) -> np.ndarray:
-    """`score`'s values of a sequence of equal-shape arrays, in order.  The
-    arrays are stacked into blocks of at most _BLOCK_CELLS cells (at least
-    one array), counting `cells` per array (its size by default), and
-    `score` maps each (T, ...) block to its T values, so every value
-    depends only on its own array."""
-    values, block = [], []
-    for x in arrays:
-        block.append(x)
-        if (len(block) + 1) * (cells or x.size) > _BLOCK_CELLS:
-            stacked, block = np.stack(block), []  # free the per-trial arrays first
-            values.append(score(stacked))
-    if block:
-        values.append(score(np.stack(block)))
-    return np.concatenate(values, dtype=float)
 
 
 class _Sampler(NamedTuple):
@@ -216,11 +200,13 @@ def mc_values(seed: int, labels, trials: int, sampler: _Sampler, score) -> np.nd
     """Values of `trials` Monte Carlo trials, shape (trials,).
 
     Trial t calls `sampler.draw(rng)` on the stream derive_rng(seed,
-    *labels, t) for its sample's raw variates.  The draws are stacked in
-    blocks of at most _BLOCK_CELLS cells of samples (2n per trial, however
-    many raw variates a draw holds), `sampler.transform` maps each block to
-    its (T, n, 2) samples, and `score` maps those to their T values, each
-    depending on its own sample alone.
+    *labels, t) for its sample's raw variates.  The trials run in blocks of
+    k = max(1, _BLOCK_CELLS // 2n) (2n sample cells a trial, however many
+    raw variates a draw holds): each draw is written into a new (k, ...)
+    array of the block's raw draws, `sampler.transform` maps the block to
+    its (k, n, 2) samples, and `score` maps those to their k values, each
+    depending on its own sample alone.  `score` may keep the block it is
+    given.
 
     One `_stream_key` pass keys every trial's stream.  `rng` is one
     generator, set back to the start of each trial's stream before its
@@ -232,17 +218,22 @@ def mc_values(seed: int, labels, trials: int, sampler: _Sampler, score) -> np.nd
     keys = _stream_key([*_key_words(seed, *labels), np.arange(trials, dtype=np.uint32)])
     rng = np.random.Generator(np.random.Philox())
     bitgen = rng.bit_generator
-
-    def draws():
-        for key in keys:
+    k = max(1, _BLOCK_CELLS // (2 * sampler.n))
+    values = []
+    for first in range(0, trials, k):
+        block_keys = keys[first:first + k]
+        for b, key in enumerate(block_keys):
             # counter 0 and empty output buffers: a freshly keyed Philox
             bitgen.state = {"bit_generator": "Philox",
                             "state": {"counter": [0, 0, 0, 0], "key": key},
                             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
                             "has_uint32": 0, "uinteger": 0}
-            yield sampler.draw(rng)
-
-    return _score_blocks(draws(), lambda raw: score(sampler.transform(raw)), 2 * sampler.n)
+            raw = sampler.draw(rng)
+            if not b:
+                block = np.empty((len(block_keys), *raw.shape), raw.dtype)
+            block[b] = raw
+        values.append(score(sampler.transform(block)))
+    return np.concatenate(values, dtype=float)
 
 
 def _sample(sampler: _Sampler, rng: np.random.Generator) -> Sample:

@@ -151,7 +151,11 @@ class TestRunBiasTable:
         ]
 
 
-#: Each Monte Carlo pipeline as a function of nothing, giving its floats.
+#: 20 genes of 60 samples: 190 pairs, two blocks at the default budget.
+GENES = np.random.default_rng(26).random((60, 20))
+
+#: Each Monte Carlo pipeline and gene-pair scan as a function of nothing,
+#: giving its floats.
 PIPELINES = {
     "null_moments": lambda: null_moments(60, 140, 21),
     "type2_gauss": lambda: [type2_error("gauss", 0.3, 70, 140, seed=22)],
@@ -165,6 +169,8 @@ PIPELINES = {
     "equitability": lambda: [v for means in run_equitability([1, 6], [0.3, 1.0], n=60, reps=40,
                                                              seed=25).mean_cos.values()
                              for v in means],
+    "dependence_cos": lambda: dependence_matrix(GENES, "cos").ravel(),
+    "dependence_kendall": lambda: dependence_matrix(GENES, "kendall").ravel(),
 }
 
 

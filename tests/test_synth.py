@@ -139,6 +139,17 @@ class TestMcValues:
         assert seen == sizes
         assert vals.tolist() == [derive_rng(3, "b", t).random((2, 2))[1, 0] for t in range(9)]
 
+    def test_scorer_may_keep_its_blocks(self, monkeypatch):
+        # uniform pairs are their own raw draws, so `score` is handed the
+        # block of draws itself: no block may be a reused buffer
+        monkeypatch.setattr(synth, "_BLOCK_CELLS", 3 * 2 * 5)
+        blocks = []
+        mc_values(4, ("k",), 8, synth._uniform_pairs(5),
+                  lambda b: blocks.append(b) or b[:, 0, 0])
+        assert [len(b) for b in blocks] == [3, 3, 2]
+        for t, got in enumerate(np.concatenate(blocks)):
+            assert got.tobytes() == derive_rng(4, "k", t).random((5, 2)).tobytes()
+
     @pytest.mark.parametrize("family, param", [("gumbel", 2.5), ("clayton", -1.0)])
     def test_score_sees_each_trial_as_the_public_sampler_draws_it(self, monkeypatch,
                                                                   family, param):
