@@ -149,6 +149,8 @@ def run_equitability(
     """
     fn_ids = tuple(int(i) for i in fn_ids)
     r2_grid = tuple(sorted(float(r) for r in r2_grid))
+    if not r2_grid:
+        raise InvalidParam("r2 grid is empty")
     if not all(0.0 < r <= 1.0 for r in r2_grid):
         raise InvalidParam("r2 grid values must lie in (0, 1]")
 
@@ -255,8 +257,10 @@ def dependence_matrix(expr, metric: str = "cos") -> np.ndarray:
         values = np.concatenate([score(x[rows, pairs[first:first + k]])
                                  for first in range(0, len(pairs), k)], dtype=float)
     except DegenerateMarginal:  # a constant gene: name its column, not the pair's
-        col = np.flatnonzero((x == x[0]).all(axis=0))[0]
-        raise DegenerateMarginal(f"gene column {col} is constant") from None
+        constant = np.flatnonzero((x == x[0]).all(axis=0))
+        if not constant.size:  # a scorer's own degeneracy, e.g. a float std of 0
+            raise
+        raise DegenerateMarginal(f"gene column {constant[0]} is constant") from None
     m = np.zeros((g, g))
     m[i, j] = m[j, i] = values
     return m

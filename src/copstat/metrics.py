@@ -27,7 +27,7 @@ def pearson(sample) -> float:
     x, y = _two_columns(sample)
     sx, sy = x.std(), y.std()
     if sx == 0.0 or sy == 0.0:
-        raise DegenerateMarginal("pearson undefined for a constant column")
+        raise DegenerateMarginal("pearson undefined for a column with zero spread")
     return float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy))
 
 

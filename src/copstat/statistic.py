@@ -304,20 +304,6 @@ def domain_gamma(lambda_min, lambda_max, flagged):
     return np.where(flagged, 1.0, 0.5 * (lambda_min + lambda_max))[()]
 
 
-def _weighted_means(trace_id, n_points, gamma, T: int, n: int) -> np.ndarray:
-    """The statistic of each trace of a T-trace stack, from its runs.
-
-    Each trace's sum of n_points * gamma is the last of a running sum in
-    run order, as a plain loop adds it, so values do not depend on T.
-    """
-    m = np.bincount(trace_id, minlength=T)
-    pos = np.arange(trace_id.size) - np.repeat(np.cumsum(m) - m, m)
-    weights = np.zeros((T, m.max()))
-    weights[trace_id, pos] = n_points * gamma
-    total = np.cumsum(weights, axis=1)[np.arange(T), m - 1]
-    return total / (n + m - 1)
-
-
 def _scored(x: np.ndarray, sort_axis: int) -> tuple[np.ndarray, ...]:
     """(cos, start, end, rising, lambda_min, lambda_max, gamma,
     local_opt_min, local_opt_max) of a validated (T, n, d) stack traced
@@ -346,7 +332,10 @@ def _scored(x: np.ndarray, sort_axis: int) -> tuple[np.ndarray, ...]:
     lam = relative_distance(s, p, 1.0 / (2 * n)).ravel()
     lam_min, lam_max = lam[trace_id * n + argmin], lam[trace_id * n + argmax]
     gamma = domain_gamma(lam_min, lam_max, lo_min | lo_max)
-    cos = _weighted_means(trace_id, n_points, gamma, T, n)
+    # bincount adds each trace's weights one at a time in run order, the
+    # running sum a plain loop gives, so a value does not depend on T
+    m = np.bincount(trace_id, minlength=T)
+    cos = np.bincount(trace_id, n_points * gamma, T) / (n + m - 1)
     return cos, start, end, rising, lam_min, lam_max, gamma, lo_min, lo_max
 
 

@@ -101,7 +101,7 @@ _MASK = 0xFFFFFFFF
 def _label_entropy(label) -> int:
     if isinstance(label, (int, np.integer)):
         if label < 0:
-            raise InvalidParam("integer rng labels must be non-negative")
+            raise InvalidParam(f"rng seeds and integer labels must be non-negative, got {label}")
         return int(label)
     digest = hashlib.sha256(str(label).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
@@ -112,9 +112,7 @@ def _key_words(seed: int, *labels) -> list[int]:
     and each label's entropy as little-endian words, [0] for 0, which is
     how SeedSequence reads a list of ints."""
     words = []
-    for value in (int(seed), *map(_label_entropy, labels)):
-        if value < 0:
-            raise ValueError("expected non-negative integer")
+    for value in map(_label_entropy, (int(seed), *labels)):
         words.append(value & _MASK)
         while value > _MASK:
             value >>= 32
@@ -208,12 +206,15 @@ def mc_values(seed: int, labels, trials: int, sampler: _Sampler, score) -> np.nd
     depending on its own sample alone.  `score` may keep the block it is
     given.
 
-    One `_stream_key` pass keys every trial's stream.  `rng` is one
-    generator, set back to the start of each trial's stream before its
-    draw, so `draw` may not keep `rng` after it returns.
+    Fewer than 1 trial or 2 points a sample raise InvalidParam before any
+    stream is keyed.  One `_stream_key` pass keys every trial's stream.
+    `rng` is one generator, set back to the start of each trial's stream
+    before its draw, so `draw` may not keep `rng` after it returns.
     """
     if trials < 1:
         raise InvalidParam(f"need at least 1 trial, got {trials}")
+    if sampler.n < 2:
+        raise InvalidParam(f"need samples of at least 2 points, got n = {sampler.n}")
     # a trial index below 2**32 is one key word
     keys = _stream_key([*_key_words(seed, *labels), np.arange(trials, dtype=np.uint32)])
     rng = np.random.Generator(np.random.Philox())

@@ -488,6 +488,11 @@ class TestGen:
     def test_bad_kind_exits_2(self, capsys):
         assert main(["gen", "--kind", "helix"]) == 2
 
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["gen", "--seed", "-1"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: rng seeds and integer labels must be non-negative, got -1\n")
+
     def test_non_finite_noise_level_exits_2_before_drawing(self, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -665,6 +670,12 @@ class TestBias:
         assert main(["bias", "--sources", source, "--grid", "60"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_samples_under_two_points_exit_2(self, grid, capsys):
+        assert main(["bias", "--grid", grid]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: need samples of at least 2 points, got n = {grid}\n")
+
     def test_non_finite_frequency_exits_2_before_drawing(self, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -745,6 +756,15 @@ class TestNetscore:
         edges = write(tmp_path / "edges.csv", text)
         assert main(["netscore", expr, "--edges", edges]) == 2
         assert capsys.readouterr().err == f"error: {edges}: {message}\n"
+
+    def test_zero_spread_gene_exits_2(self, tmp_path, capsys):
+        # 0 and 5e-324 alternate: not constant, but pearson's float std is 0
+        rows = [f"{('0', '5e-324')[i % 2]},{i},{i * 7 % 11}" for i in range(12)]
+        expr = write(tmp_path / "e.csv", "a,b,c\n" + "\n".join(rows) + "\n")
+        edges = write(tmp_path / "ed.csv", "from,to\na,b\n")
+        assert main(["netscore", expr, "--edges", edges, "--metric", "pearson"]) == 2
+        assert capsys.readouterr().err == (
+            "error: pearson undefined for a column with zero spread\n")
 
     def test_unknown_gene_exits_2(self, tmp_path, capsys):
         expr = write(tmp_path / "e.csv", "a,b\n1,2\n2,1\n3,4\n")

@@ -82,6 +82,8 @@ class TestRunEquitability:
     def test_r2_validation(self):
         with pytest.raises(InvalidParam):
             run_equitability([1], [0.0, 0.5], n=100, reps=3)
+        with pytest.raises(InvalidParam, match="r2 grid is empty"):
+            run_equitability([1], [], n=100, reps=3)
 
     def test_noise_free_scores_high(self):
         res = run_equitability([1], [1.0, 0.5], n=2000, reps=5, seed=1)
@@ -331,6 +333,14 @@ class TestScoreNetwork:
         assert "sample" not in str(info.value)
         m = dependence_matrix(x, "dcor")
         assert np.all(m[4] == 0.0) and np.all(m[:, 4] == 0.0)
+
+    def test_scorer_degeneracy_without_a_constant_gene_is_the_scorers(self):
+        # 0 and the smallest subnormal differ, but their float std is 0
+        x = derive_rng(7, "net6").random((40, 3))
+        x[:, 1] = np.resize([0.0, 5e-324], 40)
+        with pytest.raises(DegenerateMarginal, match="^pearson undefined for a column with "
+                                                     "zero spread$"):
+            dependence_matrix(x, "pearson")
 
     def test_unknown_metric(self):
         with pytest.raises(InvalidInput):

@@ -82,6 +82,11 @@ class TestNullMoments:
         with pytest.raises(InvalidParam):
             null_moments(100, trials, 0)
 
+    @pytest.mark.parametrize("n", [-3, 0, 1])
+    def test_needs_two_points(self, n):
+        with pytest.raises(InvalidParam, match=f"at least 2 points, got n = {n}$"):
+            null_moments(n, 10, 0)
+
 
 class TestCalibrateNull:
     def test_grid_validation(self):
@@ -185,6 +190,10 @@ class TestType2Error:
     def test_needs_a_trial(self):
         with pytest.raises(InvalidParam):
             type2_error("gauss", 0.3, 100, trials=0)
+
+    def test_needs_two_points(self):
+        with pytest.raises(InvalidParam, match="at least 2 points, got n = 0$"):
+            type2_error("clayton", 0.5, 0, 10)
 
     @pytest.mark.parametrize("param", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("family", ["gauss", "gumbel", "clayton"])

@@ -80,6 +80,10 @@ class TestDeriveRng:
         with pytest.raises(ValueError, match="non-negative"):
             derive_rng(-1, "x")
 
+    def test_negative_seed_is_an_invalid_param_naming_it(self):
+        with pytest.raises(InvalidParam, match="non-negative, got -7$"):
+            derive_rng(np.int64(-7), "x")
+
 
 class TestStreamKey:
     @given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8))
