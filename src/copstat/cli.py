@@ -127,6 +127,15 @@ def _parse_rows(path, header, rows) -> np.ndarray:
     return np.array(kept, dtype=float)
 
 
+def _named_column(header, name: str) -> int | None:
+    """The index of the column `name` heads, None if it heads none; a name
+    heading several columns is ambiguous and raises CopstatError."""
+    count = header.count(name)
+    if count > 1:
+        raise CopstatError(f"column name {name!r} heads {count} columns")
+    return header.index(name) if count else None
+
+
 def select_columns(header, data, spec: str | None):
     """Column selection by comma-separated names or zero-based indices."""
     if not spec:
@@ -134,8 +143,9 @@ def select_columns(header, data, spec: str | None):
     picked = []
     for token in spec.split(","):
         token = token.strip()
-        if token in header:
-            picked.append(header.index(token))
+        idx = _named_column(header, token)
+        if idx is not None:
+            picked.append(idx)
         else:
             try:
                 idx = int(token)
@@ -281,12 +291,12 @@ def cmd_ripley(args) -> int:
 
 def cmd_netscore(args) -> int:
     header, data = read_csv(args.input)
-    name_to_idx = {name: i for i, name in enumerate(header)}
     edges = []
     for a, b in _read_edges(args.edges):
-        if a not in name_to_idx or b not in name_to_idx:
+        edge = (_named_column(header, a), _named_column(header, b))
+        if None in edge:
             raise CopstatError(f"edge ({a}, {b}) references unknown gene names")
-        edges.append((name_to_idx[a], name_to_idx[b]))
+        edges.append(edge)
     score = score_network(Sample(data), edges, args.metric)
     if args.format == "csv":
         write_csv(args.out, ["fpr", "tpr"], [tuple(p) for p in score.roc_points])
@@ -323,6 +333,9 @@ def cmd_returns(args) -> int:
     header, data = read_csv(args.input)
     if data.shape[0] < 2:
         raise CopstatError("need at least 2 rows to difference")
+    finite = np.isfinite(data).all(axis=0)
+    if not finite.all():
+        raise CopstatError(f"column {header[np.argmin(finite)]!r} contains NaN or Inf values")
     diffs = np.diff(data, axis=0)
     write_csv(args.out, header, [tuple(row) for row in diffs])
     return 0

@@ -8,6 +8,7 @@ Every pipeline derives one generator sub-stream per trial from
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -66,9 +67,9 @@ def run_power(
     noise grid is coupled through common random numbers; power trends in p
     are then monotone up to estimator noise rather than trial noise.
     Signed metrics are scored by magnitude.  Each block of trials is
-    transformed to samples at once and scored: `cos` in one pass per
-    block, the other metrics one sample at a time.  `dependency` is a
-    DependencySpec or a kind name; its noise is additive at each level.
+    transformed to samples and scored by one call of the metric's stack
+    scorer.  `dependency` is a DependencySpec or a kind name; its noise is
+    additive at each level.
     """
     score = _scorer(metric, InvalidParam, magnitude=True)
     if trials < 100 or n < 100:
@@ -115,19 +116,20 @@ class EquitabilityResult:
     seed: int
 
 
-def _level_crossings(r2s: np.ndarray, means: np.ndarray, level: float) -> list[float]:
-    """R^2 positions where a piecewise-linear curve meets a horizontal level."""
-    out = []
-    for i in range(len(r2s) - 1):
-        y0, y1 = means[i], means[i + 1]
-        if y0 == level:
-            out.append(float(r2s[i]))
-        if (y0 - level) * (y1 - level) < 0:
-            frac = (level - y0) / (y1 - y0)
-            out.append(float(r2s[i] + frac * (r2s[i + 1] - r2s[i])))
-    if means[-1] == level:
-        out.append(float(r2s[-1]))
-    return out
+def _interval_widths(r2s: np.ndarray, means: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Interpretable-interval width at each of `levels` that some curve
+    meets: the spread of the R^2 positions where the piecewise-linear
+    curves `means` (curves, len(r2s)) meet it, at grid points equal to the
+    level and by interpolation on segments that cross it strictly."""
+    level = levels[:, None, None]
+    y0, y1 = means[:, :-1], means[:, 1:]
+    with np.errstate(divide="ignore", invalid="ignore"):  # flat segments cross nothing
+        crossing = r2s[:-1] + (level - y0) / (y1 - y0) * (r2s[1:] - r2s[:-1])
+    meets = np.concatenate([(y0 - level) * (y1 - level) < 0, means == level], axis=2)
+    xs = np.concatenate([crossing, np.broadcast_to(r2s, meets.shape[:2] + r2s.shape)], axis=2)
+    hi = np.where(meets, xs, -np.inf).max(axis=(1, 2), initial=-np.inf)
+    lo = np.where(meets, xs, np.inf).min(axis=(1, 2), initial=np.inf)
+    return (hi - lo)[meets.any(axis=(1, 2))]
 
 
 def run_equitability(
@@ -154,29 +156,18 @@ def run_equitability(
     if not all(0.0 < r <= 1.0 for r in r2_grid):
         raise InvalidParam("r2 grid values must lie in (0, 1]")
 
-    curves: dict[int, tuple[float, ...]] = {}
-    for fid in fn_ids:
-        means = []
-        for ri, r2 in enumerate(r2_grid):
-            spec = DependencySpec(kind="testfn", fn_id=fid, noise_mode="r2_additive", r2=r2)
-            vals = mc_values(seed, ("equit", fid, ri), reps, _dependency(spec, n), _cos_batch)
-            means.append(float(vals.mean()))
-        curves[fid] = tuple(means)
-
-    r2s = np.asarray(r2_grid)
-    widths = []
-    for level in np.arange(0.0, 1.0 + 1e-9, 0.01):
-        xs = []
-        for fid in fn_ids:
-            xs.extend(_level_crossings(r2s, np.asarray(curves[fid]), float(level)))
-        if xs:
-            widths.append(max(xs) - min(xs))
+    means = np.zeros((len(fn_ids), len(r2_grid)))
+    for (f, fid), (ri, r2) in itertools.product(enumerate(fn_ids), enumerate(r2_grid)):
+        spec = DependencySpec(kind="testfn", fn_id=fid, noise_mode="r2_additive", r2=r2)
+        vals = mc_values(seed, ("equit", fid, ri), reps, _dependency(spec, n), _cos_batch)
+        means[f, ri] = vals.mean()
+    widths = _interval_widths(np.asarray(r2_grid), means, np.arange(0.0, 1.0 + 1e-9, 0.01))
     return EquitabilityResult(
         function_ids=fn_ids,
         r2_grid=r2_grid,
-        mean_cos=curves,
-        worst_interval=max(widths) if widths else 0.0,
-        average_interval=float(np.mean(widths)) if widths else 0.0,
+        mean_cos={fid: tuple(curve) for fid, curve in zip(fn_ids, means.tolist())},
+        worst_interval=float(widths.max()) if widths.size else 0.0,
+        average_interval=float(widths.mean()) if widths.size else 0.0,
         n=n,
         reps=reps,
         seed=seed,

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .copula_core import _last_tied, _ranked, _require_varying, _trace_counts, as_sample
+from .copula_core import _last_tied, _ranked, _require_varying, _rows, _trace_counts, as_sample
 # pseudo_observations stays importable from this module because perfbench's
 # tracer swaps it here
 from .copula_core import pseudo_observations  # noqa: F401
@@ -15,98 +15,87 @@ from .errors import DegenerateMarginal, DimensionMismatch, InvalidInput
 from .statistic import _cos_batch
 
 
-def _two_columns(sample) -> tuple[np.ndarray, np.ndarray]:
-    s = as_sample(sample)
-    if s.d != 2:
-        raise DimensionMismatch(f"expected 2 columns, got {s.d}")
-    return s.column(0), s.column(1)
+def _column_pairs(x: np.ndarray) -> np.ndarray:
+    """The (T, 2, n) C-ordered columns of a (T, n, 2) stack of samples."""
+    if x.shape[2] != 2:
+        raise DimensionMismatch(f"expected 2 columns, got {x.shape[2]}")
+    return np.ascontiguousarray(x.transpose(0, 2, 1))
 
 
-def pearson(sample) -> float:
-    """Product-moment correlation of a two-column sample."""
-    x, y = _two_columns(sample)
-    sx, sy = x.std(), y.std()
-    if sx == 0.0 or sy == 0.0:
+def _pearson(x: np.ndarray) -> np.ndarray:
+    """Product-moment correlation of each two-column sample."""
+    c = _column_pairs(x)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        dev = c - c.mean(axis=2, keepdims=True)
+        spread = np.sqrt((dev * dev).mean(axis=2))  # each column's std()
+    if not spread.all():
         raise DegenerateMarginal("pearson undefined for a column with zero spread")
-    return float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy))
+    if not np.isfinite(spread).all():
+        raise InvalidInput("pearson undefined for a column whose spread overflows")
+    return (dev[:, 0] * dev[:, 1]).mean(axis=1) / (spread[:, 0] * spread[:, 1])
 
 
-def spearman(sample) -> float:
-    """Rank correlation: Pearson correlation of the columns' average ranks,
-    tied values sharing the mean of the ranks they span."""
-    x, y = _two_columns(sample)
-    if np.all(x == x[0]) or np.all(y == y[0]):
+def _spearman(x: np.ndarray) -> np.ndarray:
+    """Rank correlation of each two-column sample: Pearson correlation of
+    its columns' average ranks."""
+    c = _column_pairs(x)
+    if (c == c[..., :1]).all(axis=2).any():
         raise DegenerateMarginal("spearman undefined for a constant column")
-    rx, ry = _average_ranks(np.column_stack([x, y]))
-    return float(np.corrcoef(rx, ry)[0, 1])
+    # np.corrcoef one sample at a time: each value keeps the bits of
+    # np.corrcoef on scipy's rankdata ranks
+    return np.array([np.corrcoef(rx, ry)[0, 1] for rx, ry in _average_ranks(x)])
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """(d, n) average ranks of an (n, d) array's columns: 1-based sorted
-    positions, tied values sharing the mean of the positions they span."""
-    n, d = x.shape
-    _, pos, ranked = _ranked(x[None])
-    last = _last_tied(ranked, pos)[0]  # equal values span the positions up to it
-    by_column = last + (np.arange(d) * n)[:, None]
-    span = np.bincount(by_column.ravel(), minlength=d * n).take(by_column)
+    """(T, d, n) average ranks of the columns of a (T, n, d) stack: 1-based
+    sorted positions, tied values sharing the mean of the positions they
+    span.  Constant columns are allowed."""
+    _, pos, ranked = _ranked(x)
+    last = _last_tied(ranked, pos)  # equal values span the positions up to it
+    by_column = last + _rows(last)
+    span = np.bincount(by_column.ravel(), minlength=last.size).take(by_column)
     return (2 * last - span + 3) / 2
 
 
-def kendall_mv(sample) -> float:
-    """Multivariate Kendall tau via the copula plug-in.
-
-    tau_n = (2^d * mean C_n - 1) / (2^(d-1) - 1), with the copula mass
-    averaged over ordered pairs of distinct sample points (the pairwise
-    form: self-counts excluded, normalized by n(n-1)).  For d = 2 this is
-    exactly the classical concordance estimator; the naive 1/n-weighted
-    average would be biased by (3 - tau)/n.  The copula mass is the exact
-    integer total of the dominance counts, as `copula_statistic` takes
-    them: O(n log n) for two columns and n >= _MERGE_MIN_N, else about
-    d n^2 / 128 word operations.
-    """
-    s = as_sample(sample)
-    n, d = s.n, s.d
-    order, pos, ranked = _ranked(s.data[None])
+def _kendall(x: np.ndarray) -> np.ndarray:
+    """Multivariate Kendall tau of each sample via the copula plug-in:
+    tau_n = (2^d * mean C_n - 1) / (2^(d-1) - 1), the copula mass averaged
+    over ordered pairs of distinct points (self-counts excluded, normalized
+    by n(n-1)), for d = 2 exactly the classical concordance estimator (a
+    1/n-weighted mean would be biased by (3 - tau)/n).  The mass is the
+    exact integer total of `copula_statistic`'s dominance counts."""
+    _, n, d = x.shape
+    order, pos, ranked = _ranked(x)
     _require_varying(ranked)
-    total = int(_trace_counts(order, pos, pos, 0)[1].sum())
+    total = _trace_counts(order, pos, pos, 0)[1].sum(axis=1)
     mean_c = (total - n) / (n * (n - 1))
     return (2.0**d * mean_c - 1.0) / (2.0 ** (d - 1) - 1.0)
 
 
-def dcor(sample) -> float:
-    """Sample distance correlation (the biased V-statistic form), in [0, 1].
-
-    Built from double-centered pairwise-distance matrices; 0 is returned
-    when either marginal distance variance vanishes.
-    """
-    x, y = _two_columns(sample)
-    a = np.abs(x[:, None] - x[None, :])
-    b = np.abs(y[:, None] - y[None, :])
-    a = a - a.mean(axis=0)[None, :] - a.mean(axis=1)[:, None] + a.mean()
-    b = b - b.mean(axis=0)[None, :] - b.mean(axis=1)[:, None] + b.mean()
-    # V-statistic distance covariance is non-negative up to float error
-    dcov2_xy = max(float((a * b).mean()), 0.0)
-    dcov2_xx = float((a * a).mean())
-    dcov2_yy = float((b * b).mean())
-    denom = dcov2_xx * dcov2_yy
-    if denom <= 0.0:
-        return 0.0
-    return float(np.sqrt(dcov2_xy) / np.sqrt(np.sqrt(denom)))
-
-
-def _each(metric):
-    """A one-sample metric's values on each sample of a (T, n, d) stack."""
-    return lambda x: np.array([metric(sample) for sample in x])
+def _dcor(x: np.ndarray) -> np.ndarray:
+    """Sample distance correlation (the biased V-statistic form) of each
+    two-column sample, in [0, 1]; 0 when a marginal distance variance is 0."""
+    values = []
+    # one sample at a time: a (T, n, n) stack of distance matrices would
+    # take T times one sample's memory (a broadcast form was not measured)
+    for pair in _column_pairs(x):
+        a, b = (np.abs(v[:, None] - v[None, :]) for v in pair)
+        a, b = (m - m.mean(axis=0)[None, :] - m.mean(axis=1)[:, None] + m.mean() for m in (a, b))
+        # V-statistic distance covariance is non-negative up to float error
+        dcov2_xy = max(float((a * b).mean()), 0.0)
+        denom = float((a * a).mean()) * float((b * b).mean())
+        values.append(0.0 if denom <= 0.0 else np.sqrt(dcov2_xy) / np.sqrt(np.sqrt(denom)))
+    return np.array(values)
 
 
 #: name -> (scorer of a (T, n, d) stack of samples, whether the metric is
 #: signed); pipelines score signed metrics by magnitude.
 METRICS = {
     "cos": (_cos_batch, False),
-    "dcor": (_each(dcor), False),
-    "kendall": (_each(kendall_mv), True),
-    "spearman": (_each(spearman), True),
-    "pearson": (_each(pearson), True),
+    "dcor": (_dcor, False),
+    "kendall": (_kendall, True),
+    "spearman": (_spearman, True),
+    "pearson": (_pearson, True),
 }
 
 
@@ -123,5 +112,27 @@ def _scorer(name: str, error=InvalidInput, magnitude: bool = False):
 
 
 def compute_metric(name: str, sample) -> float:
-    """The value of metric `name` on one sample."""
+    """The value of metric `name` on one sample: its scorer's stack of one."""
     return float(_scorer(name)(as_sample(sample).data[None])[0])
+
+
+def pearson(sample) -> float:
+    """Product-moment correlation of a two-column sample."""
+    return compute_metric("pearson", sample)
+
+
+def spearman(sample) -> float:
+    """Rank correlation of a two-column sample, from average ranks."""
+    return compute_metric("spearman", sample)
+
+
+def kendall_mv(sample) -> float:
+    """Multivariate Kendall tau of a sample via the copula plug-in, from
+    dominance counts taken in O(n log n) for two columns and
+    n >= _MERGE_MIN_N, else in about d n^2 / 128 word operations."""
+    return compute_metric("kendall", sample)
+
+
+def dcor(sample) -> float:
+    """Sample distance correlation of a two-column sample, in [0, 1]."""
+    return compute_metric("dcor", sample)

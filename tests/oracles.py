@@ -170,6 +170,13 @@ def loop_cos_summary(report):
     }
 
 
+def per_sample_pearson(x, y):
+    """Pearson correlation of one pair of columns by the one-sample formula:
+    numpy's own mean and std of each column."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return float(((x - x.mean()) * (y - y.mean())).mean() / (x.std() * y.std()))
+
+
 def naive_kendall_mv(rows):
     """Multivariate Kendall tau of a list of d-tuples: the copula plug-in
     over ordered pairs of distinct points, with the dominance total counted
@@ -345,6 +352,37 @@ def loop_equitability_means(fn_ids, r2_grid, n, reps, seed):
             means.append(float(vals.mean()))
         curves[fid] = tuple(means)
     return curves
+
+
+def level_crossings(r2s, means, level):
+    """R^2 positions where one piecewise-linear curve meets a horizontal
+    level: each grid point equal to it, and each segment's interpolant
+    where the segment crosses it strictly."""
+    out = []
+    for i in range(len(r2s) - 1):
+        y0, y1 = means[i], means[i + 1]
+        if y0 == level:
+            out.append(float(r2s[i]))
+        if (y0 - level) * (y1 - level) < 0:
+            frac = (level - y0) / (y1 - y0)
+            out.append(float(r2s[i] + frac * (r2s[i + 1] - r2s[i])))
+    if means[-1] == level:
+        out.append(float(r2s[-1]))
+    return out
+
+
+def loop_interval_widths(r2s, curves, levels):
+    """max - min of every curve's crossings at each level that some curve
+    meets, one level and one curve at a time."""
+    r2s = np.asarray(r2s, dtype=float)
+    widths = []
+    for level in levels:
+        xs = []
+        for means in curves:
+            xs.extend(level_crossings(r2s, np.asarray(means, dtype=float), float(level)))
+        if xs:
+            widths.append(max(xs) - min(xs))
+    return widths
 
 
 def loop_power(kind, metric, trials, n, alpha, p_grid, seed):

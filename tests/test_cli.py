@@ -96,6 +96,12 @@ class TestCos:
         assert main(["cos", comono_csv, "--columns", "0,2"]) == 2
         assert "column index 2 out of range" in capsys.readouterr().err
 
+    def test_name_heading_two_columns_exits_2(self, tmp_path, capsys):
+        path = write(tmp_path / "t.csv", "a,a,b\n1,9,1\n2,8,4\n3,7,9\n")
+        assert main(["cos", path, "--columns", "a,b"]) == 2
+        assert capsys.readouterr() == ("", "error: column name 'a' heads 2 columns\n")
+        assert main(["cos", path, "--columns", "1,b"]) == 0  # indices still select
+
     def test_one_selected_column_exits_2(self, comono_csv, capsys):
         assert main(["cos", comono_csv, "--columns", "y"]) == 2
         assert "need at least 2 selected columns" in capsys.readouterr().err
@@ -388,6 +394,12 @@ class TestReturns:
     def test_single_row_exits_2(self, tmp_path):
         path = write(tmp_path / "p1.csv", "p\n100\n")
         assert main(["returns", path]) == 2
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_exits_2_naming_the_column(self, cell, tmp_path, capsys):
+        path = write(tmp_path / "p.csv", f"p,q\n100,1\n110,{cell}\n105,2\n")
+        assert main(["returns", path]) == 2
+        assert capsys.readouterr() == ("", "error: column 'q' contains NaN or Inf values\n")
 
     def test_constant_series_all_zero(self, tmp_path, capsys):
         path = write(tmp_path / "pc.csv", "p\n5\n5\n5\n")
@@ -765,6 +777,19 @@ class TestNetscore:
         assert main(["netscore", expr, "--edges", edges, "--metric", "pearson"]) == 2
         assert capsys.readouterr().err == (
             "error: pearson undefined for a column with zero spread\n")
+
+    def test_overflowing_pearson_spread_exits_2(self, tmp_path, capsys):
+        expr = write(tmp_path / "e.csv", "a,b\n1e308,1\n-1e308,2\n1e308,4\n-1e307,3\n")
+        edges = write(tmp_path / "ed.csv", "from,to\na,b\n")
+        assert main(["netscore", expr, "--edges", edges, "--metric", "pearson"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: pearson undefined for a column whose spread overflows\n")
+
+    def test_name_heading_two_genes_exits_2(self, tmp_path, capsys):
+        expr = write(tmp_path / "e.csv", "a,a,b\n1,2,3\n2,1,5\n3,4,4\n")
+        edges = write(tmp_path / "ed.csv", "from,to\na,b\n")
+        assert main(["netscore", expr, "--edges", edges]) == 2
+        assert capsys.readouterr() == ("", "error: column name 'a' heads 2 columns\n")
 
     def test_unknown_gene_exits_2(self, tmp_path, capsys):
         expr = write(tmp_path / "e.csv", "a,b\n1,2\n2,1\n3,4\n")

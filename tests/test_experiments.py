@@ -21,15 +21,19 @@ from copstat import (
     score_network,
     type2_error,
 )
-from copstat import synth
+from copstat import experiments, synth
 
 from oracles import (
     loop_bias_table,
     loop_dependence_matrix,
     loop_equitability_means,
+    loop_interval_widths,
     loop_power,
     naive_score_matrix,
 )
+
+#: run_equitability's level axis
+LEVELS = np.arange(0.0, 1.0 + 1e-9, 0.01)
 
 
 class TestRunPower:
@@ -111,10 +115,61 @@ class TestRunEquitability:
         res = run_equitability([1, 4], [1.0, 0.3], n=150, reps=70, seed=12)
         assert res.mean_cos == loop_equitability_means([1, 4], [1.0, 0.3], 150, 70, 12)
 
+    def test_interval_summaries_match_the_level_loop(self):
+        # three of the four curves end at exactly 1.0, a level of the axis
+        res = run_equitability([1, 2, 4, 6], [0.2, 0.6, 1.0], n=100, reps=4, seed=7)
+        widths = loop_interval_widths(res.r2_grid, list(res.mean_cos.values()), LEVELS)
+        assert res.worst_interval.hex() == max(widths).hex()
+        assert res.average_interval.hex() == float(np.mean(widths)).hex()
+
     def test_reproducible(self):
         a = run_equitability([1], [0.5], n=200, reps=5, seed=5)
         b = run_equitability([1], [0.5], n=200, reps=5, seed=5)
         assert a == b
+
+
+def _widths_match_the_level_loop(r2s, curves):
+    r2s = np.asarray(r2s, dtype=float)
+    means = np.asarray(curves, dtype=float).reshape(len(curves), len(r2s))
+    got = experiments._interval_widths(r2s, means, LEVELS).tolist()
+    want = loop_interval_widths(r2s, means, LEVELS)
+    assert [w.hex() for w in got] == [w.hex() for w in want]
+    return got
+
+
+class TestIntervalWidths:
+    @pytest.mark.parametrize("r2s, curves", [
+        # a flat segment on a level, then a crossing segment
+        ((0.2, 0.6, 1.0), ((LEVELS[10], LEVELS[10], 0.555),)),
+        # exact hits at both ends and inside, falling then rising
+        ((0.1, 0.4, 0.9), ((LEVELS[80], LEVELS[20], LEVELS[60]),)),
+        # one-point grids, on a level and between levels
+        ((0.5,), ((LEVELS[37],), (LEVELS[50],))),
+        ((0.5,), ((0.3715,),)),
+        # no curves
+        ((0.1, 0.9), ()),
+    ])
+    def test_hand_made_curves(self, r2s, curves):
+        _widths_match_the_level_loop(r2s, curves)
+
+    def test_hits_and_crossings_give_the_spread(self):
+        # levels 0.25-0.75 meet the rising curve at one point each; level 0.3
+        # also meets all three grid points of the flat curve on it, 0.2 to 1.0
+        widths = _widths_match_the_level_loop((0.2, 0.6, 1.0), ((LEVELS[30],) * 3, (0.25, 0.5, 0.75)))
+        assert len(widths) == 51 and widths[5] == pytest.approx(0.8)
+        assert widths[:5] + widths[6:] == [0.0] * 50
+
+    def test_no_crossings_give_no_width(self):
+        # both points between the same two levels
+        assert _widths_match_the_level_loop((0.1, 0.9), ((0.0051, 0.0093),)) == []
+
+    def test_random_curves(self):
+        rng = np.random.default_rng(5)
+        for k in range(300):
+            g, f = rng.integers(1, 8), rng.integers(1, 6)
+            r2s = np.sort(rng.random(g))
+            curves = LEVELS[rng.integers(0, 101, (f, g))] if k % 2 else rng.random((f, g))
+            _widths_match_the_level_loop(r2s, curves)
 
 
 class TestRunBiasTable:

@@ -25,7 +25,7 @@ from copstat import (
 )
 from copstat import copula_core, metrics
 
-from oracles import kendall_tau_pairs, naive_kendall_mv
+from oracles import kendall_tau_pairs, naive_kendall_mv, per_sample_pearson
 
 
 def cols(x, y):
@@ -55,6 +55,14 @@ class TestPearson:
     def test_two_columns_only(self):
         with pytest.raises(DimensionMismatch):
             pearson(Sample(np.random.default_rng(0).random((10, 3))))
+
+    def test_stack_values_are_the_one_sample_formula(self):
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((200, 50, 2)) * rng.uniform(0.1, 1e3, (200, 1, 2))
+        x += rng.uniform(-1e3, 1e3, (200, 1, 2))
+        want = [per_sample_pearson(s[:, 0], s[:, 1]) for s in x]
+        assert metrics.METRICS["pearson"][0](x).tolist() == want
+        assert [pearson(s) for s in x[:5]] == want[:5]
 
 
 class TestSpearman:
@@ -86,7 +94,7 @@ class TestSpearman:
         if levels is not None:
             x = rng.integers(0, levels, size=(n, 3)).astype(float)
         x[:2, :2] = ((0.0, 1.0), (1.0, 0.0))  # no constant column
-        assert np.array_equal(metrics._average_ranks(x), rankdata(x, axis=0).T)
+        assert np.array_equal(metrics._average_ranks(x[None])[0], rankdata(x, axis=0).T)
         want = np.corrcoef(rankdata(x[:, 0]), rankdata(x[:, 1]))[0, 1]
         assert spearman(x[:, :2]) == want
 
@@ -202,6 +210,21 @@ def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
     with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
         assert copstat.__version__ == tomllib.load(fh)["project"]["version"]
+
+
+class TestStackScorers:
+    @pytest.mark.parametrize("T", [1, 3, 32])
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("name", list(metrics.METRICS))
+    def test_each_value_is_its_stack_of_one(self, name, tied, T):
+        rng = np.random.default_rng(T + 10 * tied)
+        x = rng.integers(0, 8, (T, 60, 2)).astype(float) if tied else rng.standard_normal((T, 60, 2))
+        x[:, :2] = ((0.0, 1.0), (1.0, 0.0))  # no constant column
+        score = metrics.METRICS[name][0]
+        values = score(x)
+        assert values.shape == (T,)
+        for t in range(T):
+            assert values[t:t + 1].tobytes() == score(x[t:t + 1]).tobytes()
 
 
 class TestComputeMetric:
