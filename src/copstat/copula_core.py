@@ -162,7 +162,7 @@ def _ranked(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     point's position in it and the sorted values, all shaped (T, d, n).
 
     (pos + 1) / n are ordinal ranks / n: ties broken by first occurrence.
-    Constant columns are allowed; `_require_varying` refuses them.
+    Constant columns are allowed; `_varying_ranks` refuses them.
 
     Columns are sorted by the default (unstable) sort.  A column without
     ties has one sorting order, the stable one; only the columns where
@@ -190,24 +190,29 @@ def _ranked(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return order, pos.reshape(order.shape), ranked
 
 
-def _require_varying(ranked: np.ndarray) -> None:
-    """Raise DegenerateMarginal if a column of `_ranked`'s sorted values is constant."""
+def _varying_ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_ranked`'s `order` and `pos` of a (T, n, d) stack, ties broken by
+    first occurrence.  Raises DegenerateMarginal if a column is constant."""
+    order, pos, ranked = _ranked(x)
     constant = np.argwhere(ranked[..., 0] == ranked[..., -1])
     if constant.size:
         t, k = constant[0]
         where = f" of sample {t}" if ranked.shape[0] > 1 else ""
         raise DegenerateMarginal(f"column {k}{where} is constant")
+    return order, pos
 
 
-def _last_tied(ranked: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Sorted position of the last point sharing each point's value, shaped
-    like `_ranked`'s `pos`, from its sorted values `ranked`: the first
-    position at or after the point's own whose next value differs."""
+def _tied_ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_ranked`'s `order` and `pos` of a (T, n, d) stack, and `last`,
+    shaped like `pos`: the sorted position of the last point sharing each
+    point's value, the first position at or after the point's own whose
+    next value differs.  Constant columns are allowed."""
+    order, pos, ranked = _ranked(x)
     n = ranked.shape[-1]
     ends = np.full(ranked.shape, n - 1)
     ends[..., :-1] = np.where(ranked[..., 1:] != ranked[..., :-1], np.arange(n - 1), n - 1)
     last = np.minimum.accumulate(ends[..., ::-1], axis=-1)[..., ::-1]
-    return last.ravel().take(pos + _rows(pos))
+    return order, pos, last.ravel().take(pos + _rows(pos))
 
 
 def pseudo_observations(sample) -> PseudoSample:
@@ -216,8 +221,7 @@ def pseudo_observations(sample) -> PseudoSample:
     Raises DegenerateMarginal if a column is constant and InvalidInput on
     NaN/Inf or fewer than 2 rows.
     """
-    _, pos, ranked = _ranked(as_sample(sample).data[None])
-    _require_varying(ranked)
+    _, pos = _varying_ranks(as_sample(sample).data[None])
     return PseudoSample(u=(pos[0].T + 1) / pos.shape[2])
 
 
@@ -406,9 +410,9 @@ def _trace_counts(order: np.ndarray, pos: np.ndarray, last: np.ndarray,
     `last` is the tie rule: the sorted position of the last point counted
     as sharing each point's value.  `pos` breaks ties by first occurrence
     and lets two columns of at least _MERGE_MIN_N points take
-    `_merge_counts`; `_last_tied` counts equal values as below each other.
-    Other stacks take `_dominance_counts`, whose tied samples must share
-    the sort-axis column's ties (a stack of one does).
+    `_merge_counts`; `_tied_ranks`' `last` counts equal values as below
+    each other.  Other stacks take `_dominance_counts`, whose tied samples
+    must share the sort-axis column's ties (a stack of one does).
     """
     rank = _trace_ranks(order, pos, sort_axis)
     # a branch per tie rule: one path for both took 1.02-1.03x the time

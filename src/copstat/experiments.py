@@ -235,14 +235,14 @@ class NetworkScore:
 def dependence_matrix(expr, metric: str = "cos") -> np.ndarray:
     """Symmetric pairwise dependence matrix with zero diagonal, signed
     metrics by magnitude.  The gene pairs (a, b), a < b, are scored in
-    blocks of k = max(1, _BLOCK_CELLS // 2n) pairs, each block's (k, n, 2)
+    blocks of k = synth._block_size(n) pairs, each block's (k, n, 2)
     stack gathered from the gene columns in one indexing pass."""
     x = as_sample(expr).data
     n, g = x.shape
     i, j = np.triu_indices(g, 1)
     pairs = np.stack([i, j], axis=-1)[:, None]  # broadcasts against rows to (pairs, n, 2)
     rows = np.arange(n)[:, None]
-    k = max(1, synth._BLOCK_CELLS // (2 * n))
+    k = synth._block_size(n)
     score = _scorer(metric, magnitude=True)
     try:
         values = np.concatenate([score(x[rows, pairs[first:first + k]])

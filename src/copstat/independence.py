@@ -56,6 +56,7 @@ class CalibrationCurve:
         return a * n**b
 
     def to_json(self) -> str:
+        """The curve as compact JSON, as the CLI writes every document."""
         return json.dumps(
             {
                 "mu": {"a": self.mu_model[0], "b": self.mu_model[1]},
@@ -63,7 +64,8 @@ class CalibrationCurve:
                 "grid": list(self.fit_grid),
                 "trials": self.trials_per_n,
                 "seed": self.seed,
-            }
+            },
+            separators=(",", ":"),
         )
 
     @classmethod

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .copula_core import _last_tied, _ranked, _require_varying, _rows, _trace_counts, as_sample
+from .copula_core import _rows, _tied_ranks, _trace_counts, _varying_ranks, as_sample
 # pseudo_observations stays importable from this module because perfbench's
 # tracer swaps it here
 from .copula_core import pseudo_observations  # noqa: F401
@@ -50,8 +50,7 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     """(T, d, n) average ranks of the columns of a (T, n, d) stack: 1-based
     sorted positions, tied values sharing the mean of the positions they
     span.  Constant columns are allowed."""
-    _, pos, ranked = _ranked(x)
-    last = _last_tied(ranked, pos)  # equal values span the positions up to it
+    last = _tied_ranks(x)[2]  # equal values span the positions up to it
     by_column = last + _rows(last)
     span = np.bincount(by_column.ravel(), minlength=last.size).take(by_column)
     return (2 * last - span + 3) / 2
@@ -65,8 +64,7 @@ def _kendall(x: np.ndarray) -> np.ndarray:
     1/n-weighted mean would be biased by (3 - tau)/n).  The mass is the
     exact integer total of `copula_statistic`'s dominance counts."""
     _, n, d = x.shape
-    order, pos, ranked = _ranked(x)
-    _require_varying(ranked)
+    order, pos = _varying_ranks(x)
     total = _trace_counts(order, pos, pos, 0)[1].sum(axis=1)
     mean_c = (total - n) / (n * (n - 1))
     return (2.0**d * mean_c - 1.0) / (2.0 ** (d - 1) - 1.0)
@@ -74,17 +72,25 @@ def _kendall(x: np.ndarray) -> np.ndarray:
 
 def _dcor(x: np.ndarray) -> np.ndarray:
     """Sample distance correlation (the biased V-statistic form) of each
-    two-column sample, in [0, 1]; 0 when a marginal distance variance is 0."""
+    two-column sample, in [0, 1]; 0 when a marginal distance variance is 0.
+    Raises InvalidInput when a distance moment overflows."""
     values = []
     # one sample at a time: a (T, n, n) stack of distance matrices would
     # take T times one sample's memory (a broadcast form was not measured)
     for pair in _column_pairs(x):
-        a, b = (np.abs(v[:, None] - v[None, :]) for v in pair)
-        a, b = (m - m.mean(axis=0)[None, :] - m.mean(axis=1)[:, None] + m.mean() for m in (a, b))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            a, b = (np.abs(v[:, None] - v[None, :]) for v in pair)
+            a, b = (m - m.mean(axis=0)[None, :] - m.mean(axis=1)[:, None] + m.mean()
+                    for m in (a, b))
+            dcov2_xy, var_a, var_b = (float((p * q).mean()) for p, q in ((a, b), (a, a), (b, b)))
+        denom = var_a * var_b
+        if var_a == 0.0 or var_b == 0.0 or denom <= 0.0:
+            values.append(0.0)
+            continue
+        if not np.isfinite([dcov2_xy, denom]).all():
+            raise InvalidInput("dcor undefined for a column whose distance moments overflow")
         # V-statistic distance covariance is non-negative up to float error
-        dcov2_xy = max(float((a * b).mean()), 0.0)
-        denom = float((a * a).mean()) * float((b * b).mean())
-        values.append(0.0 if denom <= 0.0 else np.sqrt(dcov2_xy) / np.sqrt(np.sqrt(denom)))
+        values.append(np.sqrt(max(dcov2_xy, 0.0)) / np.sqrt(np.sqrt(denom)))
     return np.array(values)
 
 

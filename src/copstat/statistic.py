@@ -11,10 +11,11 @@ The result lies in [0, 1]: near 0 for independent data, exactly 1 for
 noise-free monotone dependence at any n >= 2, and asymptotically 1 for any
 functional dependence.
 
-One private scorer, `_scored`, scores a stack of samples in array passes,
-ranking each column once: `_cos_batch` hands it the Monte Carlo pipelines'
-blocks of trials and `copula_statistic` a stack of one.  The public stage
-functions run the same passes one stage at a time.
+One private scorer, `_score_ranks`, scores a stack of samples in array
+passes from their column ranks: `_cos_batch` hands it the ranks of the
+Monte Carlo pipelines' blocks of trials and `copula_statistic` those of a
+stack of one.  The public stage functions run the same passes one stage
+at a time.
 """
 
 from __future__ import annotations
@@ -28,11 +29,10 @@ import numpy as np
 # tracer swaps it here
 from .copula_core import (  # noqa: F401
     PseudoSample,
-    _last_tied,
     _observations,
-    _ranked,
-    _require_varying,
+    _tied_ranks,
     _trace_counts,
+    _varying_ranks,
     as_sample,
     pseudo_observations,
     relative_distance,
@@ -194,8 +194,8 @@ def copula_trace(ps: PseudoSample, sort_axis: int = 0) -> Trace:
         raise InvalidInput(f"trace needs at least 1 row and 2 columns, got shape {ps.u.shape}")
     if not 0 <= sort_axis < ps.d:
         raise InvalidInput(f"sort_axis {sort_axis} out of range for d={ps.d}")
-    order, pos, ranked = _ranked(ps.u[None])
-    _, counts = _trace_counts(order, pos, _last_tied(ranked, pos), sort_axis)
+    order, pos, last = _tied_ranks(ps.u[None])
+    _, counts = _trace_counts(order, pos, last, sort_axis)
     by_axis = order[0, sort_axis]
     return Trace(points=ps.u[by_axis], values=counts[0] / ps.n, order=by_axis)
 
@@ -304,16 +304,13 @@ def domain_gamma(lambda_min, lambda_max, flagged):
     return np.where(flagged, 1.0, 0.5 * (lambda_min + lambda_max))[()]
 
 
-def _scored(x: np.ndarray, sort_axis: int) -> tuple[np.ndarray, ...]:
+def _score_ranks(order: np.ndarray, pos: np.ndarray, sort_axis: int) -> tuple[np.ndarray, ...]:
     """(cos, start, end, rising, lambda_min, lambda_max, gamma,
-    local_opt_min, local_opt_max) of a validated (T, n, d) stack traced
-    along `sort_axis`: the (T,) statistic, then every trace's runs in trace
-    order, fields as in CosReport.  Each column is sorted once, a column
-    with ties twice, and ties are broken by first occurrence (`_ranked`)."""
-    T, n, d = x.shape
-    order, pos, ranked = _ranked(x)
-    _require_varying(ranked)
-    del ranked  # held to the end, it raised peak RSS by 128 KB at n = 2000, d = 5
+    local_opt_min, local_opt_max) of a (T, n, d) stack traced along
+    `sort_axis`, from ordinal ranks as `_varying_ranks` gives them (any
+    permutations `pos` and their inverses `order`): the (T,) statistic,
+    then every trace's runs in trace order, fields as in CosReport."""
+    T, d, n = pos.shape
     if not 0 <= sort_axis < d:
         raise InvalidInput(f"sort_axis {sort_axis} out of range for d={d}")
     rank, counts = _trace_counts(order, pos, pos, sort_axis)
@@ -341,8 +338,8 @@ def _scored(x: np.ndarray, sort_axis: int) -> tuple[np.ndarray, ...]:
 
 def _cos_batch(x) -> np.ndarray:
     """copula_statistic(x[t]).cos for every sample of a (T, n, d) stack,
-    from one `_scored` pass over the whole stack."""
-    return _scored(_observations(x, ("T", "n", "d")), 0)[0]
+    from one rank pass and one `_score_ranks` pass over the whole stack."""
+    return _score_ranks(*_varying_ranks(_observations(x, ("T", "n", "d"))), 0)[0]
 
 
 def copula_statistic(sample, sort_axis: int = 0) -> CosReport:
@@ -355,10 +352,10 @@ def copula_statistic(sample, sort_axis: int = 0) -> CosReport:
     prefix table over its own points for each column other than the sort
     axis, and skips the trace points that lie before it on the sort axis.
     Scoring the runs is O(n) array work.  The result is deterministic in the input:
-    it is `_scored`'s stack of one, bit-identical to `_cos_batch`.  The
+    it is `_score_ranks`' stack of one, bit-identical to `_cos_batch`.  The
     report keeps the runs as arrays; reading `report.domains` builds their
     DomainRecords, which no part of the statistic needs.
     """
     x = as_sample(sample).data
-    cos, *runs = _scored(x[None], sort_axis)  # runs in CosReport's field order
+    cos, *runs = _score_ranks(*_varying_ranks(x[None]), sort_axis)  # in CosReport's order
     return CosReport(float(cos[0]), *x.shape, sort_axis, *runs)

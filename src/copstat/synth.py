@@ -182,6 +182,12 @@ def derive_rng(seed: int, *labels) -> np.random.Generator:
 _BLOCK_CELLS = 12_800
 
 
+def _block_size(n: int) -> int:
+    """Two-column samples of n points per Monte Carlo or gene pair block:
+    max(1, _BLOCK_CELLS // 2n), with the budget read at each call."""
+    return max(1, _BLOCK_CELLS // (2 * n))
+
+
 class _Sampler(NamedTuple):
     """A sampler of n pairs in two steps.  `draw(rng)` gives one sample's
     raw variates, in stream order, as one array; `transform` maps a
@@ -199,12 +205,11 @@ def mc_values(seed: int, labels, trials: int, sampler: _Sampler, score) -> np.nd
 
     Trial t calls `sampler.draw(rng)` on the stream derive_rng(seed,
     *labels, t) for its sample's raw variates.  The trials run in blocks of
-    k = max(1, _BLOCK_CELLS // 2n) (2n sample cells a trial, however many
-    raw variates a draw holds): each draw is written into a new (k, ...)
-    array of the block's raw draws, `sampler.transform` maps the block to
-    its (k, n, 2) samples, and `score` maps those to their k values, each
-    depending on its own sample alone.  `score` may keep the block it is
-    given.
+    k = _block_size(n) (2n sample cells a trial, however many raw variates
+    a draw holds): each draw is written into a new (k, ...) array of the
+    block's raw draws, `sampler.transform` maps the block to its (k, n, 2)
+    samples, and `score` maps those to their k values, each depending on
+    its own sample alone.  `score` may keep the block it is given.
 
     Fewer than 1 trial or 2 points a sample raise InvalidParam before any
     stream is keyed.  One `_stream_key` pass keys every trial's stream.
@@ -219,7 +224,7 @@ def mc_values(seed: int, labels, trials: int, sampler: _Sampler, score) -> np.nd
     keys = _stream_key([*_key_words(seed, *labels), np.arange(trials, dtype=np.uint32)])
     rng = np.random.Generator(np.random.Philox())
     bitgen = rng.bit_generator
-    k = max(1, _BLOCK_CELLS // (2 * sampler.n))
+    k = _block_size(sampler.n)
     values = []
     for first in range(0, trials, k):
         block_keys = keys[first:first + k]

@@ -170,6 +170,22 @@ def loop_cos_summary(report):
     }
 
 
+def permutation_ranks(T, n, d, rng):
+    """(order, pos) of T samples of n points whose d columns are
+    permutations, each (T, d, n) as `copula_core._ranked` gives them:
+    `pos[t, k, j]` is point j's position in column k's sorted order and
+    `order[t, k]` the points in that order.  Column 0 is the identity and
+    the others are drawn from `rng`; `order` is filled by scatter, not by
+    sorting."""
+    pos = np.empty((T, d, n), dtype=np.intp)
+    order = np.empty_like(pos)
+    for t in range(T):
+        for k in range(d):
+            pos[t, k] = np.arange(n) if k == 0 else rng.permutation(n)
+            order[t, k, pos[t, k]] = np.arange(n)
+    return order, pos
+
+
 def per_sample_pearson(x, y):
     """Pearson correlation of one pair of columns by the one-sample formula:
     numpy's own mean and std of each column."""

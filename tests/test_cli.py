@@ -18,6 +18,7 @@ from copstat import (
     DEFAULT_NULL_CURVE,
     CalibrationCurve,
     CopstatError,
+    calibrate_null,
     copula_statistic,
     run_bias_table,
     run_equitability,
@@ -619,6 +620,15 @@ class TestItestAndCalibrate:
                                       [comono_csv, curve], capsys)
         assert json.loads(out)["decision"] == "dependent"
 
+    def test_calibrate_writes_compact_json(self, capsys):
+        assert main(["calibrate", "--grid", "50,100", "--trials", "200", "--seed", "3"]) == 0
+        out = capsys.readouterr().out
+        curve = calibrate_null([50, 100], 200, 3)
+        assert out == curve.to_json() + "\n"
+        assert ", " not in out and ": " not in out
+        # the spaced form earlier versions wrote still loads
+        assert CalibrationCurve.from_json(json.dumps(json.loads(out))) == curve
+
     def test_calibrate_invalid_grid_exits_2(self, capsys):
         assert main(["calibrate", "--grid", "10,20", "--trials", "200"]) == 2
 
@@ -784,6 +794,19 @@ class TestNetscore:
         assert main(["netscore", expr, "--edges", edges, "--metric", "pearson"]) == 2
         assert capsys.readouterr() == (
             "", "error: pearson undefined for a column whose spread overflows\n")
+
+    @pytest.mark.parametrize("text", [
+        # the distances overflow
+        "a,b\n1e308,1\n-1e308,2\n1e308,4\n-1e307,3\n",
+        # a = 1e158 b, whose distance variance overflows; c is unrelated
+        "a,b,c\n" + "".join(f"{i * 1e158!r},{i},{i * 7 % 11}\n" for i in range(50)),
+    ])
+    def test_overflowing_dcor_moments_exit_2(self, tmp_path, capsys, text):
+        expr = write(tmp_path / "e.csv", text)
+        edges = write(tmp_path / "ed.csv", "from,to\na,b\n")
+        assert main(["netscore", expr, "--edges", edges, "--metric", "dcor"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: dcor undefined for a column whose distance moments overflow\n")
 
     def test_name_heading_two_genes_exits_2(self, tmp_path, capsys):
         expr = write(tmp_path / "e.csv", "a,a,b\n1,2,3\n2,1,5\n3,4,4\n")

@@ -314,8 +314,7 @@ def _trace_kernel_inputs(x):
     """`_dominance_counts`' inputs for a (T, n, d) stack whose samples share
     column 0, the sort axis: stable trace order, per-column stable
     positions and last tied positions, and the shared sort-axis cut."""
-    order, pos, ranked = copula_core._ranked(x)
-    last = copula_core._last_tied(ranked, pos)
+    order, pos, last = copula_core._tied_ranks(x)
     traces = order[:, 0]
     rank = copula_core._trace_ranks(order, pos, 0)
     row = copula_core._trace_ranks(order, last, 0)

@@ -183,6 +183,24 @@ class TestDcor:
             v = dcor(Sample(rng.random((60, 2))))
             assert 0.0 <= v <= 1.0
 
+    @pytest.mark.parametrize("x, y", [
+        # the distances overflow
+        ([1e308, -1e308, 1e308, -1e307], [1.0, 2.0, 4.0, 3.0]),
+        # an exactly linear pair whose distance variance overflows
+        (np.linspace(0.0, 1.0, 50) * 1e160, np.linspace(0.0, 1.0, 50)),
+    ])
+    def test_overflowing_moments_raise(self, x, y):
+        with pytest.raises(InvalidInput) as exc:
+            dcor(cols(x, y))
+        assert str(exc.value) == "dcor undefined for a column whose distance moments overflow"
+
+    def test_constant_column_beside_an_overflowing_one_is_zero(self):
+        assert dcor(cols([1e308, -1e308, 1e308, -1e307], np.full(4, 3.0))) == 0.0
+
+    def test_large_finite_moments_still_score(self):
+        x = np.linspace(0.0, 1.0, 50)
+        assert dcor(cols(x * 1e150, x)) == pytest.approx(1.0)
+
 
 def test_import_leaves_scipy_stats_unloaded(tmp_path):
     # scipy dominates import time, and only the Gaussian-copula sampler and

@@ -1,7 +1,7 @@
 """The copula statistic: trace, domain partition, local optima, gamma."""
 
 import json
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from copstat import (
     BoundsViolated,
+    CosReport,
     DegenerateMarginal,
     DomainRecord,
     InvalidInput,
@@ -26,7 +27,7 @@ from copstat import (
 from copstat import copula_core, statistic
 from copstat.statistic import _cos_batch
 
-from oracles import loop_cos_summary, naive_copula_count, naive_cos_report
+from oracles import loop_cos_summary, naive_copula_count, naive_cos_report, permutation_ranks
 
 
 def make_trace(values):
@@ -528,6 +529,28 @@ class TestCosBatch:
         for bad in (x[0], x[None], x[:, :1], x[:, :, :1]):
             with pytest.raises(InvalidInput):
                 _cos_batch(bad)
+
+
+class TestScoreRanks:
+    """`_score_ranks` scores any ordinal ranks, not only those `_ranked`
+    sorts out of a sample."""
+
+    @pytest.mark.parametrize("T", [1, 3, 32])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [2, 5, 200])
+    def test_permutations_score_as_the_samples_they_rank(self, T, d, n):
+        order, pos = permutation_ranks(T, n, d, np.random.default_rng(1000 * T + 10 * n + d))
+        x = (pos.transpose(0, 2, 1) + 1) / n  # samples with exactly these ranks
+        cos = statistic._score_ranks(order, pos, 0)[0]
+        assert [c.hex() for c in cos] == [c.hex() for c in _cos_batch(x)]
+        run_fields = [f.name for f in fields(CosReport)][4:]  # after cos, n, d and sort_axis
+        for axis in range(d):
+            cos, *runs = statistic._score_ranks(order, pos, axis)
+            reports = [copula_statistic(sample, sort_axis=axis) for sample in x]
+            assert [c.hex() for c in cos] == [r.cos.hex() for r in reports]
+            for name, got in zip(run_fields, runs, strict=True):
+                want = np.concatenate([getattr(r, name) for r in reports])
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (axis, name)
 
 
 class TestRowOrder:
