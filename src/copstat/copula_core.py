@@ -206,11 +206,16 @@ def _tied_ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`_ranked`'s `order` and `pos` of a (T, n, d) stack, and `last`,
     shaped like `pos`: the sorted position of the last point sharing each
     point's value, the first position at or after the point's own whose
-    next value differs.  Constant columns are allowed."""
+    next value differs; `pos` itself when no column of the stack ties, so
+    `_trace_counts` counts untied stacks one way whichever entry ranked
+    them.  Constant columns are allowed."""
     order, pos, ranked = _ranked(x)
+    differs = ranked[..., 1:] != ranked[..., :-1]
+    if differs.all():
+        return order, pos, pos
     n = ranked.shape[-1]
     ends = np.full(ranked.shape, n - 1)
-    ends[..., :-1] = np.where(ranked[..., 1:] != ranked[..., :-1], np.arange(n - 1), n - 1)
+    ends[..., :-1] = np.where(differs, np.arange(n - 1), n - 1)
     last = np.minimum.accumulate(ends[..., ::-1], axis=-1)[..., ::-1]
     return order, pos, last.ravel().take(pos + _rows(pos))
 
@@ -410,9 +415,9 @@ def _trace_counts(order: np.ndarray, pos: np.ndarray, last: np.ndarray,
     `last` is the tie rule: the sorted position of the last point counted
     as sharing each point's value.  `pos` breaks ties by first occurrence
     and lets two columns of at least _MERGE_MIN_N points take
-    `_merge_counts`; `_tied_ranks`' `last` counts equal values as below
-    each other.  Other stacks take `_dominance_counts`, whose tied samples
-    must share the sort-axis column's ties (a stack of one does).
+    `_merge_counts`; `_tied_ranks`' `last` (`pos` on untied stacks) counts
+    equal values as below each other.  `_dominance_counts` takes the rest;
+    its tied samples must share the sort-axis ties (a stack of one does).
     """
     rank = _trace_ranks(order, pos, sort_axis)
     # a branch per tie rule: one path for both took 1.02-1.03x the time
@@ -539,9 +544,7 @@ def relative_distance(c_value, point, tol: float = 0.0):
             f"copula value {c[beyond][0]} below lower bound {lower[beyond][0]} "
             f"beyond tol {tol}"
         )
-    # clamp: to upper where c exceeds it, else to lower where c is below it
-    np.maximum(c, lower, out=out)
-    np.putmask(out, np.greater(c, upper, out=beyond), upper)
+    np.clip(c, lower, upper, out=out)  # upper wins where rounding puts lower above it
     # the gap to pi of the upper envelope where c >= pi, else the lower one
     pi = _fold(np.multiply, p, out=upper)
     np.greater_equal(out, pi, out=beyond)

@@ -15,8 +15,8 @@ by its key and counter, so it can be replayed from its start by setting
 the key with a zero counter on any Philox generator.  `derive_rng` builds
 a new generator on SeedSequence(words) itself, so it can spawn;
 `mc_values` runs Monte Carlo trials, one stream per trial, keys all of
-them in one array pass, replays each on one reused generator into its
-block's array of raw draws and scores the trials a block at a time.
+them in one array pass, replays each on one reused generator, stacks
+each block's raw draws and scores the trials a block at a time.
 
 Each sampler comes in two steps, a `_Sampler`: a trial's stream gives only
 the sample's raw variates, and the family's transform maps a whole block
@@ -206,10 +206,9 @@ def mc_values(seed: int, labels, trials: int, sampler: _Sampler, score) -> np.nd
     Trial t calls `sampler.draw(rng)` on the stream derive_rng(seed,
     *labels, t) for its sample's raw variates.  The trials run in blocks of
     k = _block_size(n) (2n sample cells a trial, however many raw variates
-    a draw holds): each draw is written into a new (k, ...) array of the
-    block's raw draws, `sampler.transform` maps the block to its (k, n, 2)
-    samples, and `score` maps those to their k values, each depending on
-    its own sample alone.  `score` may keep the block it is given.
+    a draw holds): one `np.stack` of the block's draws, `sampler.transform`
+    of it to (k, n, 2) samples, and `score` of those to their k values,
+    each depending on its own sample alone.  `score` may keep the block.
 
     Fewer than 1 trial or 2 points a sample raise InvalidParam before any
     stream is keyed.  One `_stream_key` pass keys every trial's stream.
@@ -223,22 +222,18 @@ def mc_values(seed: int, labels, trials: int, sampler: _Sampler, score) -> np.nd
     # a trial index below 2**32 is one key word
     keys = _stream_key([*_key_words(seed, *labels), np.arange(trials, dtype=np.uint32)])
     rng = np.random.Generator(np.random.Philox())
-    bitgen = rng.bit_generator
     k = _block_size(sampler.n)
     values = []
     for first in range(0, trials, k):
-        block_keys = keys[first:first + k]
-        for b, key in enumerate(block_keys):
+        draws = []
+        for key in keys[first:first + k]:
             # counter 0 and empty output buffers: a freshly keyed Philox
-            bitgen.state = {"bit_generator": "Philox",
-                            "state": {"counter": [0, 0, 0, 0], "key": key},
-                            "buffer": [0, 0, 0, 0], "buffer_pos": 4,
-                            "has_uint32": 0, "uinteger": 0}
-            raw = sampler.draw(rng)
-            if not b:
-                block = np.empty((len(block_keys), *raw.shape), raw.dtype)
-            block[b] = raw
-        values.append(score(sampler.transform(block)))
+            rng.bit_generator.state = {"bit_generator": "Philox",
+                                       "state": {"counter": [0, 0, 0, 0], "key": key},
+                                       "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                                       "has_uint32": 0, "uinteger": 0}
+            draws.append(sampler.draw(rng))
+        values.append(score(sampler.transform(np.stack(draws))))
     return np.concatenate(values, dtype=float)
 
 
