@@ -25,9 +25,12 @@ from .errors import (
     InvalidInput,
 )
 
-#: Denominators with magnitude below this are treated as a collapsed
-#: Frechet gap (bounds meet the product copula) and yield lambda = 1.
-DEGENERATE_EPS = 1e-12
+#: A Frechet gap (envelope minus Pi) below d * DEGENERATE_GAP in magnitude
+#: at a point of d coordinates is float rounding of a gap of 0, where the
+#: bounds meet the product copula, and yields lambda = 1.  W and Pi round
+#: by a few d eps; a nonzero gap at a lattice point (i/n, j/n) is at least
+#: 1/n^2, above the bound (3.6e-15 at d = 2) for n below 1.6 * 10^7.
+DEGENERATE_GAP = 8 * np.finfo(float).eps
 
 # Comparison-cell budget per block when batch-evaluating the copula; keeps
 # the (block, n, d) broadcast under ~100 MB.
@@ -518,9 +521,10 @@ def relative_distance(c_value, point, tol: float = 0.0):
     `c_value` has shape (...) and `point` shape (..., d); each value is
     scored at its point, and a scalar call returns a float.  A value may
     exceed the envelopes by at most `tol` (it is clamped); beyond that
-    BoundsViolated is raised.  Where the applicable gap is numerically zero
-    the envelopes and Pi coincide, which only happens at global-optimum
-    points of a functional dependence, so 1 is returned.
+    BoundsViolated is raised.  Where the applicable gap is below
+    d * DEGENERATE_GAP, float rounding of 0, the envelopes and Pi
+    coincide, which only happens at global-optimum points of a functional
+    dependence, so 1 is returned.
     """
     p = as_unit_point(point)
     c = np.asarray(c_value, dtype=float)
@@ -551,7 +555,7 @@ def relative_distance(c_value, point, tol: float = 0.0):
     out -= pi
     np.putmask(lower, beyond, _fold(np.minimum, p, out=upper))
     denom = np.subtract(lower, _fold(np.multiply, p, out=upper), out=lower)
-    np.greater_equal(np.abs(denom, out=upper), DEGENERATE_EPS, out=beyond)
+    np.greater_equal(np.abs(denom, out=upper), p.shape[-1] * DEGENERATE_GAP, out=beyond)
     np.divide(out, denom, out=out, where=beyond)
     np.putmask(out, ~beyond, 1.0)
     return out[()]

@@ -222,10 +222,13 @@ def test_independence(
 
     z standardizes the statistic by the null mean and sigma predicted at
     this sample size; dependence is declared when |z| exceeds the normal
-    quantile (2.576 at the 1% level).
+    quantile (2.576 at the 1% level).  A sample size at which the curve's
+    null mean is at least 1, above any statistic value, is refused with
+    InvalidParam: the default curve refuses n <= 10.
     """
     _check_alpha(alpha)
     s = as_sample(sample)
+    _check_covered(curve, s.n)
     value = copula_statistic(s).cos
     z, cutoff, dependent = _z_test(value, s.n, curve, alpha)
     decision = H1 if dependent else H0
@@ -235,6 +238,15 @@ def test_independence(
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha <= 0.5:
         raise InvalidParam(f"alpha must be in (0, 0.5], got {alpha}")
+
+
+def _check_covered(curve: CalibrationCurve, n: int) -> None:
+    """Refuse a sample size n >= 2 whose null mean mu(n) is at least 1:
+    no statistic value lies above it, so z cannot standardize one.  Fewer
+    than 2 points are left to the sample checks, which name them."""
+    if n >= 2 and (mu := curve.predict_mu(n)) >= 1.0:
+        raise InvalidParam(f"the null curve does not cover n = {n}: its mean mu(n) = {mu:.4f} "
+                           "is at least 1, above any cos value")
 
 
 def _z_test(cos, n: int, curve: CalibrationCurve, alpha: float):
@@ -260,8 +272,10 @@ def type2_error(
     independent.  Trial t draws its raw variates from the stream derived
     from (seed, "type2", copula_family, n, t); each block of trials is
     transformed to samples and scored at once, and the z-test of
-    `test_independence` is applied to all their values at once."""
+    `test_independence` is applied to all their values at once.  A sample
+    size the curve does not cover is refused before any draw."""
     _check_alpha(alpha)
+    _check_covered(curve, n)
     cos = mc_values(seed, ("type2", copula_family, n), trials,
                     _copula(copula_family, param, n), _cos_batch)
     _, _, dependent = _z_test(cos, n, curve, alpha)

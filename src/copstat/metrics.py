@@ -72,8 +72,10 @@ def _kendall(x: np.ndarray) -> np.ndarray:
 
 def _dcor(x: np.ndarray) -> np.ndarray:
     """Sample distance correlation (the biased V-statistic form) of each
-    two-column sample, in [0, 1]; 0 when a marginal distance variance is 0.
-    Raises InvalidInput when a distance moment overflows."""
+    two-column sample, in [0, 1]; 0 when a column is constant.  Raises
+    InvalidInput when a distance moment overflows, or underflows: the
+    distance variance of a column that varies, or the product of the two
+    variances, below the smallest normal float."""
     values = []
     # one sample at a time: a (T, n, n) stack of distance matrices would
     # take T times one sample's memory (a broadcast form was not measured)
@@ -84,9 +86,11 @@ def _dcor(x: np.ndarray) -> np.ndarray:
                     for m in (a, b))
             dcov2_xy, var_a, var_b = (float((p * q).mean()) for p, q in ((a, b), (a, a), (b, b)))
         denom = var_a * var_b
-        if var_a == 0.0 or var_b == 0.0 or denom <= 0.0:
+        if (pair == pair[:, :1]).all(axis=1).any():  # a constant column's variance is 0
             values.append(0.0)
             continue
+        if var_a == 0.0 or var_b == 0.0 or denom < np.finfo(float).tiny:
+            raise InvalidInput("dcor undefined for a column whose distance moments underflow")
         if not np.isfinite([dcov2_xy, denom]).all():
             raise InvalidInput("dcor undefined for a column whose distance moments overflow")
         # V-statistic distance covariance is non-negative up to float error

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import sys
 
 import numpy as np
 
@@ -58,6 +59,25 @@ def naive_copula_count(pseudo_rows, point):
     return count
 
 
+#: A Frechet gap below d times this at a d-coordinate point scores 1, as
+#: float rounding of a collapsed gap: 8 machine epsilons per coordinate
+DEGENERATE_GAP = 8 * sys.float_info.epsilon
+
+
+def naive_relative_distance(c, p, tol=0.0):
+    """relative_distance of one copula value c at one point p, by the
+    scalar formula in the library's order of float operations; a value
+    more than tol past an envelope fails an assertion."""
+    d = len(p)
+    upper = min(p)
+    lower = max(sum(p) + 1.0 - d, 0.0)
+    pi = math.prod(p)
+    assert lower - tol <= c <= upper + tol
+    c = min(max(c, lower), upper)
+    denom = upper - pi if c >= pi else lower - pi
+    return 1.0 if abs(denom) < d * DEGENERATE_GAP else (c - pi) / denom
+
+
 def naive_cos_report(rows, sort_axis):
     """Copula statistic of a list of d-tuples by the per-run rule, in loops.
 
@@ -98,20 +118,6 @@ def naive_cos_report(rows, sort_axis):
             flags[i][side] = flags[i + 1][side] = True
 
     tol = 1.0 / (2 * n)
-
-    def relative_distance(c, p):
-        upper = min(p)
-        lower = max(sum(p) + 1.0 - d, 0.0)
-        pi = math.prod(p)
-        if c > upper:
-            assert c <= upper + tol
-            c = upper
-        elif c < lower:
-            assert c >= lower - tol
-            c = lower
-        denom = upper - pi if c >= pi else lower - pi
-        return 1.0 if abs(denom) < 1e-12 else (c - pi) / denom
-
     domains = []
     total = 0.0
     for (a, b, direction), (opt_min, opt_max) in zip(runs, flags):
@@ -121,8 +127,8 @@ def naive_cos_report(rows, sort_axis):
                 i_min = i
             if s[i] > s[i_max]:
                 i_max = i
-        lam_min = relative_distance(s[i_min], points[i_min])
-        lam_max = relative_distance(s[i_max], points[i_max])
+        lam_min = naive_relative_distance(s[i_min], points[i_min], tol)
+        lam_max = naive_relative_distance(s[i_max], points[i_max], tol)
         gamma = 1.0 if opt_min or opt_max else 0.5 * (lam_min + lam_max)
         total += (b - a + 1) * gamma
         domains.append(

@@ -582,6 +582,13 @@ class TestItestAndCalibrate:
         assert doc["decision"] == "dependent"
         assert doc["cos"] == 1.0
 
+    def test_itest_refuses_a_size_the_curve_does_not_cover(self, tmp_path, capsys):
+        # every 4-point sample scores cos 1.0, and mu(4) = 1.6 lies above it
+        path = write(tmp_path / "four.csv", "x,y\n1,2\n2,1\n3,4\n4,3\n")
+        assert main(["itest", path, "--alpha", "0.05"]) == 2
+        assert capsys.readouterr() == ("", "error: the null curve does not cover n = 4: its mean "
+                                       "mu(n) = 1.5977 is at least 1, above any cos value\n")
+
     def test_calibrate_and_use_curve(self, tmp_path, capsys, comono_csv):
         curve_path = str(tmp_path / "curve.json")
         assert main(["calibrate", "--grid", "50,100", "--trials", "200",
@@ -807,6 +814,22 @@ class TestNetscore:
         assert main(["netscore", expr, "--edges", edges, "--metric", "dcor"]) == 2
         assert capsys.readouterr() == (
             "", "error: dcor undefined for a column whose distance moments overflow\n")
+
+    @pytest.mark.parametrize("scale_a, scale_b, cube", [
+        (1e-100, 1e-100, True), (1e-80, 1e-80, True), (1e-160, 1.0, False), (1e-200, 1.0, False),
+    ])
+    def test_underflowing_dcor_moments_exit_2(self, tmp_path, capsys, scale_a, scale_b, cube):
+        # genes a and b are test_metrics' pairs whose distance moments
+        # underflow; c is unrelated
+        x = np.linspace(0.0, 1.0, 50)
+        y = x**3 if cube else x
+        rows = [f"{u!r},{v!r},{i * 7 % 11}"
+                for i, (u, v) in enumerate(zip((x * scale_a).tolist(), (y * scale_b).tolist()))]
+        expr = write(tmp_path / "e.csv", "a,b,c\n" + "\n".join(rows) + "\n")
+        edges = write(tmp_path / "ed.csv", "from,to\na,b\n")
+        assert main(["netscore", expr, "--edges", edges, "--metric", "dcor"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: dcor undefined for a column whose distance moments underflow\n")
 
     def test_name_heading_two_genes_exits_2(self, tmp_path, capsys):
         expr = write(tmp_path / "e.csv", "a,a,b\n1,2,3\n2,1,5\n3,4,4\n")

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from copstat import (
@@ -27,7 +27,12 @@ from copstat import (
 )
 from copstat.copula_core import PseudoSample
 
-from oracles import gaussian_copula_at_half, naive_copula_count, naive_ranks
+from oracles import (
+    gaussian_copula_at_half,
+    naive_copula_count,
+    naive_ranks,
+    naive_relative_distance,
+)
 
 
 class TestSample:
@@ -473,9 +478,31 @@ class TestTraceCounts:
             assert counts[t].tolist() == want
 
 
+class TestTiedRanks:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("T", [1, 3])
+    def test_untied_stacks_get_pos_itself_as_last(self, T, d):
+        x = np.random.default_rng(10 * T + d).random((T, 40, d))
+        _, pos, last = copula_core._tied_ranks(x)
+        assert last is pos
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("T", [1, 3])
+    def test_one_tie_anywhere_gives_the_tie_rule(self, T, d):
+        x = np.random.default_rng(10 * T + d).random((T, 40, d))
+        x[-1, 5, -1] = x[-1, 9, -1]
+        _, pos, last = copula_core._tied_ranks(x)
+        assert last is not pos
+        assert last[-1, -1, 5] == last[-1, -1, 9] == max(pos[-1, -1, 5], pos[-1, -1, 9])
+        assert np.array_equal(np.delete(last.ravel(), last.size - 40 + np.array([5, 9])),
+                              np.delete(pos.ravel(), pos.size - 40 + np.array([5, 9])))
+
+
 class TestTiedTraceCrossover:
     """Tied input never reaches merge levels, which assume permutations:
-    copula_trace takes the bitset kernel on either side of the crossover."""
+    copula_trace takes the bitset kernel on either side of the crossover.
+    Untied pairs take merge levels from the crossover on, as
+    copula_statistic does."""
 
     @pytest.mark.parametrize("offset", [-1, 0, 37])
     def test_tied_traces_equal_cdf_many_on_the_kernel(self, offset, monkeypatch):
@@ -489,6 +516,21 @@ class TestTiedTraceCrossover:
             trace = copula_trace(ps, axis)
             assert np.array_equal(trace.values, EmpiricalCopula(ps).cdf_many(trace.points))
         assert merges == []
+
+    @pytest.mark.parametrize("offset", [-1, 0, 37])
+    def test_untied_traces_take_merge_levels_from_the_crossover(self, offset, monkeypatch):
+        n = copula_core._MERGE_MIN_N + offset
+        ps = pseudo_observations(np.random.default_rng(n).random((n, 2)))
+        merges = []
+        merge_counts = copula_core._merge_counts
+        monkeypatch.setattr(copula_core, "_merge_counts",
+                            lambda r: merges.append(r.shape) or merge_counts(r))
+        for axis in (0, 1):
+            trace = copula_trace(ps, axis)
+            # every 16th point keeps cdf_many's n^2 comparisons short
+            assert np.array_equal(trace.values[::16],
+                                  EmpiricalCopula(ps).cdf_many(trace.points[::16]))
+        assert merges == ([(1, n)] * 2 if offset >= 0 else [])
 
 
 class TestEnvelopes:
@@ -615,3 +657,61 @@ class TestRelativeDistance:
         c = lo + t * (hi - lo)
         lam = relative_distance(c, [u, v])
         assert -1e-12 <= lam <= 1.0 + 1e-12
+
+
+#: Coordinates at 0, at 1, a few ulps below 1, or anywhere in [0, 1]
+_COORDINATES = st.one_of(st.sampled_from([0.0, 1.0]),
+                         st.integers(1, 4).map(lambda k: 1.0 - k * 2.0**-53),
+                         st.floats(0.0, 1.0))
+
+_HALFWAY_N = 2_000_000
+
+
+class TestRelativeDistanceOracle:
+    """relative_distance against the scalar formula of `naive_relative_distance`,
+    bit for bit, refusals included."""
+
+    @staticmethod
+    def _value(p, kind, t, tol):
+        upper, pi = min(p), math.prod(p)
+        lower = max(sum(p) + 1.0 - len(p), 0.0)
+        return {"upper": upper, "lower": lower, "pi": pi,
+                "below_pi": math.nextafter(pi, 0.0),
+                "inside": lower + t * (upper - lower),
+                "pi_to_upper": pi + t * (upper - pi),
+                "past_upper": upper + t * tol,
+                "past_lower": lower - t * tol}[kind]
+
+    @given(st.integers(2, 3).flatmap(lambda d: st.lists(_COORDINATES, min_size=d, max_size=d)),
+           st.sampled_from(["upper", "lower", "pi", "below_pi", "inside", "pi_to_upper",
+                            "past_upper", "past_lower"]),
+           st.floats(0.0, 1.0), st.sampled_from([0.0, 1e-3, 1 / 400]))
+    @example([1 / _HALFWAY_N, (_HALFWAY_N - 1) / _HALFWAY_N], "pi_to_upper", 0.5, 0.0)
+    @example([0.4, 1.0], "below_pi", 0.0, 0.0)
+    @example([0.001, 1.0], "below_pi", 0.0, 0.0)
+    @settings(max_examples=400, deadline=None)
+    def test_scalar_formula_bit_for_bit(self, p, kind, t, tol):
+        c = self._value(p, kind, t, tol)
+        try:
+            want = naive_relative_distance(c, p, tol)
+        except AssertionError:  # more than tol past an envelope
+            with pytest.raises(BoundsViolated):
+                relative_distance(c, p, tol)
+            return
+        assert float(relative_distance(c, p, tol)).hex() == want.hex()
+        batch = relative_distance(np.array([c, c]), np.array([p, p]), tol)
+        assert [v.hex() for v in batch.tolist()] == [want.hex()] * 2
+
+    def test_a_gap_below_1e_12_is_not_collapsed(self):
+        # at n = 2e6 the gap from pi to M at (1/n, (n - 1)/n) is 2.5e-13; the
+        # value halfway across it scored 1.0 under an absolute 1e-12 bound
+        n = _HALFWAY_N
+        p = [1 / n, (n - 1) / n]
+        pi, upper = product_copula(p), frechet_upper(p)
+        assert 0.0 < upper - pi < 1e-12
+        assert relative_distance(pi + (upper - pi) / 2, p) == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("p", [[0.4, 1.0], [0.001, 1.0]])
+    def test_rounding_alone_still_collapses_the_gap(self, p):
+        # one ulp below pi, where W, pi and M meet but for float rounding
+        assert relative_distance(math.nextafter(product_copula(p), 0.0), p) == 1.0

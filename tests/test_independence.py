@@ -142,6 +142,15 @@ class TestIndependenceTest:
         with pytest.raises(InvalidParam):
             run_test(Sample(data), alpha=0.7)
 
+    def test_sizes_the_curve_does_not_cover_are_refused(self):
+        # mu(10) = 1.0396 lies above any cos; mu(11) = 0.9941 does not
+        rng = np.random.default_rng(11)
+        with pytest.raises(InvalidParam) as exc:
+            run_test(Sample(rng.random((10, 2))), alpha=0.05)
+        assert str(exc.value) == ("the null curve does not cover n = 10: its mean mu(n) = "
+                                  "1.0396 is at least 1, above any cos value")
+        assert run_test(Sample(rng.random((11, 2))), alpha=0.05).n == 11
+
     def test_cutoff_at_one_percent(self):
         data = np.random.default_rng(1).random((100, 2))
         res = run_test(Sample(data), alpha=0.01)
@@ -194,6 +203,13 @@ class TestType2Error:
     def test_needs_two_points(self):
         with pytest.raises(InvalidParam, match="at least 2 points, got n = 0$"):
             type2_error("clayton", 0.5, 0, 10)
+
+    def test_sizes_the_curve_does_not_cover_are_refused_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(independence, "mc_values", None)  # never called
+        with pytest.raises(InvalidParam, match=r"^the null curve does not cover n = 10: "):
+            type2_error("gauss", 0.3, 10, trials=20)
+        monkeypatch.undo()
+        assert 0.0 <= type2_error("gauss", 0.3, 11, trials=20) <= 1.0
 
     @pytest.mark.parametrize("param", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("family", ["gauss", "gumbel", "clayton"])

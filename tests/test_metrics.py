@@ -201,6 +201,33 @@ class TestDcor:
         x = np.linspace(0.0, 1.0, 50)
         assert dcor(cols(x * 1e150, x)) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("scale_x, scale_y, cube", [
+        # normal variances near 1e-200 whose product underflows: scored 0.0
+        (1e-100, 1e-100, True),
+        # a subnormal product: scored 0.94759 against 0.94908
+        (1e-80, 1e-80, True),
+        # a subnormal variance: scored 1.0208, above the range
+        (1e-160, 1.0, False),
+        # a varying column whose variance underflows to 0: scored 0.0
+        (1e-200, 1.0, False),
+    ])
+    def test_underflowing_moments_raise(self, scale_x, scale_y, cube):
+        x = np.linspace(0.0, 1.0, 50)
+        y = x**3 if cube else x
+        with pytest.raises(InvalidInput) as exc:
+            dcor(cols(x * scale_x, y * scale_y))
+        assert str(exc.value) == "dcor undefined for a column whose distance moments underflow"
+
+    def test_constant_column_beside_a_tiny_one_is_zero(self):
+        x = np.linspace(0.0, 1.0, 50)
+        assert dcor(cols(x * 1e-200, np.full(50, 3.0))) == 0.0
+        assert dcor(cols(np.full(50, 1e-300), x)) == 0.0
+
+    def test_small_normal_moments_keep_their_bits(self):
+        # a power-of-two scale leaves every moment's bits but its exponent
+        x = np.linspace(0.0, 1.0, 50)
+        assert dcor(cols(x * 2.0**-160, x**3 * 2.0**-160)) == dcor(cols(x, x**3))
+
 
 def test_import_leaves_scipy_stats_unloaded(tmp_path):
     # scipy dominates import time, and only the Gaussian-copula sampler and
