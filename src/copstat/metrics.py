@@ -73,9 +73,9 @@ def _kendall(x: np.ndarray) -> np.ndarray:
 def _dcor(x: np.ndarray) -> np.ndarray:
     """Sample distance correlation (the biased V-statistic form) of each
     two-column sample, in [0, 1]; 0 when a column is constant.  Raises
-    InvalidInput when a distance moment overflows, or underflows: the
-    distance variance of a column that varies, or the product of the two
-    variances, below the smallest normal float."""
+    InvalidInput when a distance moment overflows, or underflows: a
+    varying column's distance variance is 0, or the product of the two
+    variances lies below the smallest normal float."""
     values = []
     # one sample at a time: a (T, n, n) stack of distance matrices would
     # take T times one sample's memory (a broadcast form was not measured)
